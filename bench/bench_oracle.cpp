@@ -17,23 +17,23 @@
 //
 // Metric discipline: everything in the metrics section is a deterministic
 // algorithmic output (digests, counts, makespans, gate booleans) held to
-// exact equality by bench_compare; wall-clock seconds and RSS deltas are
+// exact equality by bench_compare; wall-clock seconds and RSS rises are
 // machine-dependent and go to record_span timings, which the ledger
 // records and bench_trend reports without gating.
 //
-// RSS note: getrusage's ru_maxrss is a process-lifetime high-water mark,
-// so phases are measured as deltas and the algebraic (small) measurements
-// run before the materialized (large) ones — growth only registers beyond
-// the previous peak, which is exactly the order that keeps every delta
-// meaningful.
+// RSS note: each measured stage reads its own peak through
+// obs::PeakRssStage (VmHWM reset at stage start), so a stage that stays
+// under an earlier process peak still reads its real footprint.  Where the
+// reset is unavailable the table says so, the RSS timings are omitted and
+// the RSS gate metrics are not emitted (bench_compare lists them as
+// missing) — an unmeasured stage never passes as 0.
 #include <benchmark/benchmark.h>
-
-#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "bench/table.hpp"
@@ -43,6 +43,7 @@
 #include "core/lower_bounds.hpp"
 #include "embed/path_oracle.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "sim/oracle_sim.hpp"
 
 namespace hyperpath {
@@ -55,10 +56,18 @@ double seconds_of(const std::function<void()>& fn) {
       .count();
 }
 
-double rss_kb() {
-  rusage u{};
-  getrusage(RUSAGE_SELF, &u);
-  return static_cast<double>(u.ru_maxrss);  // KiB on Linux
+/// A table cell for an RSS figure; "unavailable" when the VmHWM reset
+/// could not run.
+std::string rss_cell(std::optional<double> v) {
+  if (!v) return "unavailable";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2f", *v);
+  return buf;
+}
+
+std::optional<double> kb_to_mb(std::optional<std::uint64_t> kb) {
+  if (!kb) return std::nullopt;
+  return static_cast<double>(*kb) / 1024.0;
 }
 
 /// Sink that counts hops without storing them — the streaming throughput
@@ -151,15 +160,18 @@ void print_ttfr_table(bench::Report& report) {
   };
 
   for (const Case& c : cases) {
-    // Algebraic first (RSS ordering, see header comment).
-    const double alg_rss0 = rss_kb();
     HostPath first;
-    const double s_alg = seconds_of([&] {
-      const auto oracle = algebraic_grid_oracle(c.spec);
-      const OracleEdge e = oracle->out_edge(0, 0);
-      first = oracle->path_vec(e, 0);
-    });
-    const double alg_rss = rss_kb() - alg_rss0;
+    std::optional<std::uint64_t> alg_kb;
+    double s_alg = 0.0;
+    {
+      const obs::PeakRssStage stage;
+      s_alg = seconds_of([&] {
+        const auto oracle = algebraic_grid_oracle(c.spec);
+        const OracleEdge e = oracle->out_edge(0, 0);
+        first = oracle->path_vec(e, 0);
+      });
+      alg_kb = stage.rise_kb();
+    }
 
     // Streaming throughput: every bundle path of a seeded edge sample.
     const auto oracle = algebraic_grid_oracle(c.spec);
@@ -177,51 +189,68 @@ void print_ttfr_table(bench::Report& report) {
     });
     const double mpaths = static_cast<double>(paths) / s_stream / 1e6;
 
-    double s_mat = 0.0, mat_rss = 0.0;
+    double s_mat = 0.0;
+    std::optional<std::uint64_t> mat_kb;
     if (c.materialize) {
-      const double mat_rss0 = rss_kb();
+      const obs::PeakRssStage stage;
       s_mat = seconds_of([&] {
         const MultiPathEmbedding emb = grid_multipath_embedding(c.spec);
         const MaterializedOracle mat(emb);
         const OracleEdge e = mat.out_edge(0, 0);
         first = mat.path_vec(e, 0);
       });
-      mat_rss = rss_kb() - mat_rss0;
+      mat_kb = stage.rise_kb();
     }
-    // A backend whose whole state fits in the page already mapped reads a
-    // zero delta; clamp to one page so ratios stay finite.
-    const double alg_rss_c = std::max(alg_rss, 4.0);
     const double ttfr_ratio = c.materialize ? s_mat / s_alg : 0.0;
-    const double rss_ratio = c.materialize ? mat_rss / alg_rss_c : 0.0;
+    // A backend whose whole state fits in pages already mapped reads a
+    // zero rise; clamp to one page so ratios stay finite.
+    std::optional<double> rss_ratio;
+    if (mat_kb && alg_kb) {
+      rss_ratio = static_cast<double>(*mat_kb) /
+                  std::max(static_cast<double>(*alg_kb), 4.0);
+    }
 
+    const std::string not_run = "-";
     t.row(c.tag, c.materialize ? s_mat * 1e3 : 0.0, s_alg * 1e3, ttfr_ratio,
-          mat_rss / 1024.0, alg_rss / 1024.0, rss_ratio, mpaths);
+          c.materialize ? rss_cell(kb_to_mb(mat_kb)) : not_run,
+          rss_cell(kb_to_mb(alg_kb)),
+          c.materialize ? rss_cell(rss_ratio) : not_run, mpaths);
 
     const std::string tag = c.tag;
     reg.record_span("ttfr_alg_" + tag, s_alg);
-    reg.record_span("alg_rss_kb_" + tag, alg_rss);
+    if (alg_kb) {
+      reg.record_span("alg_rss_kb_" + tag, static_cast<double>(*alg_kb));
+    }
     reg.record_span("alg_mpaths_per_s_" + tag, mpaths);
     if (c.materialize) {
       reg.record_span("ttfr_mat_" + tag, s_mat);
-      reg.record_span("mat_rss_kb_" + tag, mat_rss);
       reg.record_span("ttfr_ratio_" + tag, ttfr_ratio);
-      reg.record_span("rss_ratio_" + tag, rss_ratio);
+      if (mat_kb) {
+        reg.record_span("mat_rss_kb_" + tag, static_cast<double>(*mat_kb));
+      }
+      if (rss_ratio) reg.record_span("rss_ratio_" + tag, *rss_ratio);
     }
     report.metric("stream_paths_" + tag, paths);
     report.metric("stream_nodes_" + tag, sink.nodes());
 
     if (c.tag == std::string("q20")) {
       const bool ttfr_ok = ttfr_ratio >= 10.0;
-      const bool rss_ok = rss_ratio >= 5.0;
+      const bool rss_ok = !rss_ratio || *rss_ratio >= 5.0;
       if (!ttfr_ok || !rss_ok) {
         std::fprintf(stderr,
                      "FATAL: Q_20 oracle advantage gate failed "
                      "(ttfr %.1fx, rss %.1fx)\n",
-                     ttfr_ratio, rss_ratio);
+                     ttfr_ratio, rss_ratio.value_or(0.0));
         std::exit(1);
       }
       report.metric("ttfr_gate_10x_q20", 1);
-      report.metric("rss_gate_5x_q20", 1);
+      if (rss_ratio) {
+        report.metric("rss_gate_5x_q20", 1);
+      } else {
+        std::fprintf(stderr,
+                     "note: Q_20 RSS gate not evaluated (VmHWM reset "
+                     "unavailable)\n");
+      }
     }
   }
   t.print();
@@ -234,20 +263,23 @@ void print_ttfr_table(bench::Report& report) {
 void print_q24_phase_table(bench::Report& report) {
   bench::Table t("O3: Q_24 phase from the algebraic backend",
                  {"edges", "p", "packets", "makespan", "peak", "floor",
-                  "links", "plan MB", "sim s"});
+                  "links", "plan MB", "peak MB", "sim s"});
   auto& reg = obs::MetricsRegistry::global();
 
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const auto edges = sample_guest_edges(*oracle, 50000, 7);
   const int p = 32;
 
-  const double rss0 = rss_kb();
   OraclePhaseSpec spec;
   spec.packets_per_edge = p;
   OraclePhaseResult r;
-  const double s_sim =
-      seconds_of([&] { r = run_oracle_phase(*oracle, edges, spec); });
-  const double rss_delta = rss_kb() - rss0;
+  double s_sim = 0.0;
+  std::optional<std::uint64_t> rise_kb;
+  {
+    const obs::PeakRssStage stage;
+    s_sim = seconds_of([&] { r = run_oracle_phase(*oracle, edges, spec); });
+    rise_kb = stage.rise_kb();
+  }
   const OraclePhaseFloor floor = oracle_phase_floor(*oracle, edges, p);
 
   const std::uint64_t expect =
@@ -264,16 +296,17 @@ void print_q24_phase_table(bench::Report& report) {
                  static_cast<long long>(floor.floor));
     std::exit(1);
   }
-  const double budget_kb = 2.0 * 1024 * 1024;  // 2 GiB
-  if (rss_delta > budget_kb) {
-    std::fprintf(stderr, "FATAL: Q_24 phase RSS delta %.0f KiB over budget\n",
-                 rss_delta);
+  constexpr std::uint64_t kBudgetKb = std::uint64_t{2} << 20;  // 2 GiB
+  const obs::RssGate gate = obs::rss_gate(rise_kb, kBudgetKb);
+  if (gate == obs::RssGate::kOver) {
+    std::fprintf(stderr, "FATAL: Q_24 phase peak RSS rise %llu KiB over "
+                 "budget\n", static_cast<unsigned long long>(*rise_kb));
     std::exit(1);
   }
 
   t.row(edges.size(), p, expect, r.makespan, r.peak_congestion, floor.floor,
         r.unique_links, static_cast<double>(r.compiled_bytes) / 1048576.0,
-        s_sim);
+        rss_cell(kb_to_mb(rise_kb)), s_sim);
   report.metric("q24_makespan", r.makespan);
   report.metric("q24_delivered", r.delivered);
   report.metric("q24_transmissions", r.total_transmissions);
@@ -283,9 +316,14 @@ void print_q24_phase_table(bench::Report& report) {
   report.metric("q24_route_nodes", r.route_nodes);
   report.metric("q24_compiled_bytes", r.compiled_bytes);
   report.metric("q24_congestion_gate", 1);
-  report.metric("q24_rss_gate_2gib", 1);
   reg.record_span("q24_phase_sim", s_sim);
-  reg.record_span("q24_phase_rss_kb", rss_delta);
+  if (gate == obs::RssGate::kWithin) {
+    report.metric("q24_rss_gate_2gib", 1);
+    reg.record_span("q24_phase_rss_kb", static_cast<double>(*rise_kb));
+  } else {
+    std::fprintf(stderr, "note: Q_24 RSS gate not evaluated (VmHWM reset "
+                 "unavailable)\n");
+  }
   t.print();
   report.table(t);
 }

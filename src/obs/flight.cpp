@@ -2,12 +2,40 @@
 
 #include <algorithm>
 
+#include "base/error.hpp"
 #include "obs/json_parse.hpp"
 
 namespace hyperpath::obs {
 
 void FlightRecorder::on_events(std::span<const TraceEvent> events) {
-  for (const TraceEvent& e : events) add(e);
+  // A canonical batch lists its releases first, and each opens a flight:
+  // size the record and packet tables for all of them at once instead of
+  // through repeated doubling (a phase releases every packet at step 0).
+  std::size_t releases = 0;
+  std::uint32_t max_packet = 0;
+  for (; releases < events.size() &&
+         events[releases].kind == TraceEventKind::kRelease;
+       ++releases) {
+    max_packet = std::max(max_packet, events[releases].packet);
+  }
+  if (releases > 0) {
+    if (records_.size() + releases > records_.capacity()) {
+      records_.reserve(
+          std::max(records_.size() + releases, 2 * records_.capacity()));
+    }
+    if (max_packet >= packets_.size()) packets_.resize(max_packet + 1);
+  }
+  // Within a kind the packet ids are scattered (events go in link order):
+  // fetch each packet's slot a few events ahead to overlap the misses.
+  constexpr std::size_t kAhead = 8;
+  const std::size_t n = events.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      const std::uint32_t ahead = events[i + kAhead].packet;
+      if (ahead < packets_.size()) __builtin_prefetch(&packets_[ahead]);
+    }
+    add(events[i]);
+  }
 }
 
 void FlightRecorder::note_inconsistency(const TraceEvent& e,
@@ -23,18 +51,24 @@ void FlightRecorder::note_inconsistency(const TraceEvent& e,
 
 FlightRecord& FlightRecorder::open_flight(std::uint32_t packet,
                                           std::int32_t release_step) {
-  if (packet >= open_.size()) {
-    open_.resize(packet + 1, npos);
-    generations_.resize(packet + 1, 0);
-  }
+  if (packet >= packets_.size()) packets_.resize(packet + 1);
+  HP_CHECK(records_.size() < kNoFlight, "flight recorder: too many flights");
+  PacketSlot& slot = packets_[packet];
   FlightRecord rec;
   rec.packet = packet;
-  rec.generation = generations_[packet]++;
+  rec.generation = slot.generations++;
   max_generation_ = std::max(max_generation_, rec.generation);
   rec.release_step = release_step;
-  open_[packet] = records_.size();
-  records_.push_back(std::move(rec));
-  pending_.push_back({});
+  slot.open = static_cast<std::uint32_t>(records_.size());
+  if ((records_.size() >> kRegionShift) == hop_log_.size()) {
+    // Address space for four hops a flight: only the pages hops are
+    // written to become resident, and longer flights fall back to doubling.
+    hop_log_.emplace_back().reserve(kRegionFlights * 4);
+  }
+  slot.link = TraceEvent::kNoLink;
+  slot.enqueue_step = -1;
+  slot.hops = 0;
+  records_.push_back(rec);
   return records_.back();
 }
 
@@ -43,14 +77,43 @@ LinkUse& FlightRecorder::link_slot(std::uint64_t link) {
   return links_[link];
 }
 
-std::size_t FlightRecorder::flight_of(std::uint32_t packet) const {
-  if (packet < open_.size() && open_[packet] != npos) return open_[packet];
-  // Terminated flights: scan backwards for the latest generation.  Rarely
-  // needed (callers mostly iterate records()); kept simple.
-  for (std::size_t i = records_.size(); i-- > 0;) {
-    if (records_[i].packet == packet) return i;
+void FlightRecorder::lay_out_hops() const {
+  if (!unlaid_hops_) return;
+  unlaid_hops_ = false;
+  hop_regions_.resize(hop_log_.size());
+  std::vector<std::size_t> cursor;
+  for (std::size_t g = 0; g < hop_log_.size(); ++g) {
+    std::vector<LoggedHop>& log = hop_log_[g];
+    if (log.empty()) continue;
+    // A counting sort by flight: count the region's logged hops per
+    // record, give each record a run holding its previous layout followed
+    // by its logged hops (event order), then scatter the log into the runs.
+    const std::size_t first = g << kRegionShift;
+    const std::size_t last = std::min(first + kRegionFlights, records_.size());
+    cursor.assign(last - first, 0);
+    for (const LoggedHop& h : log) ++cursor[h.flight - first];
+    std::vector<HopSpan> region(hop_regions_[g].size() + log.size());
+    HopSpan* out = region.data();
+    for (std::size_t r = first; r < last; ++r) {
+      FlightRecord& rec = records_[r];
+      const std::size_t count = rec.hops.size() + cursor[r - first];
+      HopSpan* const run = out;
+      out = std::copy(rec.hops.begin(), rec.hops.end(), out);
+      cursor[r - first] = static_cast<std::size_t>(out - region.data());
+      rec.hops = {run, count};
+      out = run + count;
+    }
+    for (const LoggedHop& h : log) {
+      region[cursor[h.flight - first]++] = {h.link, h.enqueue_step,
+                                            h.transmit_step, h.depth_seen};
+    }
+    hop_regions_[g] = std::move(region);
+    std::vector<LoggedHop>().swap(log);  // free it, not just clear it
   }
-  return npos;
+}
+
+std::uint32_t FlightRecorder::open_flight_of(std::uint32_t packet) const {
+  return packet < packets_.size() ? packets_[packet].open : kNoFlight;
 }
 
 void FlightRecorder::add(const TraceEvent& e) {
@@ -59,14 +122,14 @@ void FlightRecorder::add(const TraceEvent& e) {
   last_step_ = std::max(last_step_, e.step);
   switch (e.kind) {
     case TraceEventKind::kRelease: {
-      if (e.packet < open_.size() && open_[e.packet] != npos) {
+      if (open_flight_of(e.packet) != kNoFlight) {
         // A release while a flight is open never happens in well-formed
         // streams; close the stale record so the new one can proceed.
         note_inconsistency(e, "release while a flight is already open");
-        open_[e.packet] = npos;
       }
       open_flight(e.packet, e.step);
-      pending_.back() = {e.link, e.step};
+      packets_[e.packet].link = e.link;
+      packets_[e.packet].enqueue_step = e.step;
       ++releases_;
       break;
     }
@@ -77,9 +140,7 @@ void FlightRecorder::add(const TraceEvent& e) {
       if (lu.first_step < 0) lu.first_step = e.step;
       lu.last_step = e.step;
       if (e.packet == TraceEvent::kNoPacket) break;  // defensive
-      std::size_t idx =
-          e.packet < open_.size() ? open_[e.packet] : npos;
-      if (idx == npos) {
+      if (open_flight_of(e.packet) == kNoFlight) {
         // Wormhole traces emit a worm's kTransmit batch *before* its
         // kWormStart within the acquisition step (kTransmit sorts ahead of
         // kWormStart), so an implicit open here is normal — the kWormStart
@@ -88,35 +149,30 @@ void FlightRecorder::add(const TraceEvent& e) {
         // folds the unclaimed count in.
         ++unclaimed_implicit_;
         open_flight(e.packet, /*release_step=*/-1);
-        idx = open_[e.packet];
-        pending_[idx] = {e.link, e.step};
+        packets_[e.packet].link = e.link;
+        packets_[e.packet].enqueue_step = e.step;
       }
-      FlightRecord& rec = records_[idx];
-      PendingHop& p = pending_[idx];
-      std::int32_t enq;
-      if (p.enqueue_step >= 0) {
-        enq = p.enqueue_step;
-        if (p.link != TraceEvent::kNoLink && p.link != e.link) {
-          note_inconsistency(e, "transmit on a different link than queued");
-        }
-      } else if (!rec.hops.empty()) {
-        enq = rec.hops.back().transmit_step + 1;
-      } else {
-        enq = e.step;
+      PacketSlot& p = packets_[e.packet];
+      // After a completed hop, enqueue_step is that hop's transmit step + 1.
+      const bool queued = p.enqueue_step >= 0 || p.hops > 0;
+      std::int32_t enq = queued ? p.enqueue_step : e.step;
+      if (queued && p.link != TraceEvent::kNoLink && p.link != e.link) {
+        note_inconsistency(e, "transmit on a different link than queued");
       }
       // Worm acquisition transmits all share one step; no wait semantics.
       if (enq > e.step) enq = e.step;
-      rec.hops.push_back({e.link, enq, e.step,
-                          static_cast<std::uint32_t>(e.value)});
+      log_hop({e.link, enq, e.step, static_cast<std::uint32_t>(e.value),
+               p.open});
       // The next hop's link is unknown until an event names it.
-      p = {TraceEvent::kNoLink, e.step + 1};
+      p.link = TraceEvent::kNoLink;
+      p.enqueue_step = e.step + 1;
+      ++p.hops;
       break;
     }
     case TraceEventKind::kArrive: {
       ++delivered_;
-      const std::size_t idx =
-          e.packet < open_.size() ? open_[e.packet] : npos;
-      if (idx == npos) {
+      const std::uint32_t idx = open_flight_of(e.packet);
+      if (idx == kNoFlight) {
         note_inconsistency(e, "arrival for a packet never released");
         break;
       }
@@ -129,14 +185,13 @@ void FlightRecorder::add(const TraceEvent& e) {
               e.value) {
         note_inconsistency(e, "arrival latency disagrees with release step");
       }
-      open_[e.packet] = npos;
+      packets_[e.packet].open = kNoFlight;
       break;
     }
     case TraceEventKind::kDrop: {
       ++dropped_;
-      const std::size_t idx =
-          e.packet < open_.size() ? open_[e.packet] : npos;
-      if (idx == npos) {
+      const std::uint32_t idx = open_flight_of(e.packet);
+      if (idx == kNoFlight) {
         // Dropped before release: the packet's route was cut by a standing
         // fault, so it never entered the network.  (Note these ids index
         // the submitted workload, which may collide with a later wave's
@@ -145,18 +200,19 @@ void FlightRecorder::add(const TraceEvent& e) {
         rec.fate = FlightRecord::Fate::kDropped;
         rec.end_step = e.step;
         rec.drop_link = e.link;
-        open_[e.packet] = npos;
+        packets_[e.packet].open = kNoFlight;
         break;
       }
       FlightRecord& rec = records_[idx];
       rec.fate = FlightRecord::Fate::kDropped;
       rec.end_step = e.step;
       rec.drop_link = e.link;
-      rec.pending_enqueue_step = pending_[idx].enqueue_step;
-      if (e.value != rec.hops.size()) {
+      PacketSlot& slot = packets_[e.packet];
+      rec.pending_enqueue_step = slot.enqueue_step;
+      if (e.value != slot.hops) {
         note_inconsistency(e, "drop hop count disagrees with record");
       }
-      open_[e.packet] = npos;
+      slot.open = kNoFlight;
       break;
     }
     case TraceEventKind::kStall:
@@ -171,9 +227,8 @@ void FlightRecorder::add(const TraceEvent& e) {
     case TraceEventKind::kWormStart: {
       worm_trace_ = true;
       // The worm's kTransmit batch this step already opened its record.
-      const std::size_t idx =
-          e.packet < open_.size() ? open_[e.packet] : npos;
-      if (idx == npos) {
+      const std::uint32_t idx = open_flight_of(e.packet);
+      if (idx == kNoFlight) {
         open_flight(e.packet, e.step);
       } else {
         if (records_[idx].release_step < 0 && unclaimed_implicit_ > 0) {
@@ -186,9 +241,8 @@ void FlightRecorder::add(const TraceEvent& e) {
     }
     case TraceEventKind::kWormDone: {
       worm_trace_ = true;
-      const std::size_t idx =
-          e.packet < open_.size() ? open_[e.packet] : npos;
-      if (idx == npos) {
+      const std::uint32_t idx = open_flight_of(e.packet);
+      if (idx == kNoFlight) {
         note_inconsistency(e, "worm_done for a worm never started");
         break;
       }
@@ -197,7 +251,7 @@ void FlightRecorder::add(const TraceEvent& e) {
       rec.end_step = e.step;
       rec.latency = e.value;  // completion span: done step - release step
       ++delivered_;
-      open_[e.packet] = npos;
+      packets_[e.packet].open = kNoFlight;
       break;
     }
     case TraceEventKind::kFault:
@@ -308,6 +362,7 @@ TraceLoadResult load_trace_jsonl(const std::string& path,
     out.error = reader.error().message;
     return out;
   }
+  rec.flush();
   out.ok = true;
   return out;
 }

@@ -37,6 +37,15 @@
 // carry no wait information there, but terminal accounting (makespan,
 // delivered) still reconstructs exactly.
 //
+// Hop storage: every completed hop lives in recorder-owned storage,
+// grouped per flight, and FlightRecord::hops views its flight's run of it;
+// no flight owns a heap allocation.  While events stream in, hops are
+// appended to a log in event order; the log is laid out per flight by
+// flush() (StepTrace::finish calls it at the end of every traced run), or
+// on the next records() call.  The spans are valid for the recorder's
+// lifetime once the stream has ended; a new event invalidates them until
+// the next layout.
+//
 // The recorder reproduces run-level results from the stream alone —
 // makespan, delivered/dropped counts, transmissions — which is what proves
 // a trace is complete: tools/trace_query gates on matching SimResult bit
@@ -80,7 +89,9 @@ struct FlightRecord {
   /// -1 when the packet was dropped before ever being released (its route
   /// was already cut by a standing fault).
   std::int32_t release_step = -1;
-  std::vector<HopSpan> hops;
+  /// Completed hops in order; a view of the recorder's hop storage (see
+  /// the file comment for its lifetime).
+  std::span<const HopSpan> hops;
 
   Fate fate = Fate::kInFlight;
   /// Arrive/drop step; -1 while in flight.
@@ -141,13 +152,25 @@ class FlightRecorder final : public TraceSink {
  public:
   static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
 
+  FlightRecorder() = default;
+  // Records view the recorder's own hop storage, so copies would dangle;
+  // moves keep the storage's buffers and with them every span.
+  FlightRecorder(const FlightRecorder&) = delete;
+  FlightRecorder& operator=(const FlightRecorder&) = delete;
+  FlightRecorder(FlightRecorder&&) = default;
+  FlightRecorder& operator=(FlightRecorder&&) = default;
+
   void on_events(std::span<const TraceEvent> events) override;
   void add(const TraceEvent& e);
+  /// End of a stream: lays the logged hops out per flight.
+  void flush() override { lay_out_hops(); }
 
-  /// All flights, in order of first appearance (creation order).
-  const std::vector<FlightRecord>& records() const { return records_; }
-  /// Index into records() of `packet`'s latest generation; npos if unseen.
-  std::size_t flight_of(std::uint32_t packet) const;
+  /// All flights, in order of first appearance (creation order).  Lays out
+  /// hops logged since the last flush() first.
+  const std::vector<FlightRecord>& records() const {
+    lay_out_hops();
+    return records_;
+  }
 
   const std::vector<RetransmitEvent>& retransmits() const {
     return retransmits_;
@@ -193,23 +216,58 @@ class FlightRecorder final : public TraceSink {
 
  private:
   void note_inconsistency(const TraceEvent& e, const char* what);
+  static constexpr std::uint32_t kNoFlight = 0xffffffffu;
+
   FlightRecord& open_flight(std::uint32_t packet, std::int32_t release_step);
+  /// Index into records_ of `packet`'s open flight; kNoFlight if none.
+  std::uint32_t open_flight_of(std::uint32_t packet) const;
   LinkUse& link_slot(std::uint64_t link);
+  void lay_out_hops() const;
 
-  // Per packet id: index of its open (non-terminal) record, npos if none.
-  std::vector<std::size_t> open_;
-  // Per packet id: generations opened so far.
-  std::vector<std::uint32_t> generations_;
-  // Per open record: where the packet currently queues.  The link is known
-  // from kRelease for hop 0 and becomes kNoLink after each transmit (the
-  // next link is only revealed by the next event naming it).
-  struct PendingHop {
+  // Per packet id: its open (non-terminal) record, the generations opened
+  // so far, and where the open flight currently queues — one slot, so a
+  // transmit touches a single per-packet cache line.  The pending link is
+  // known from kRelease for hop 0 and becomes kNoLink after each transmit
+  // (the next link is only revealed by the next event naming it).
+  struct PacketSlot {
     std::uint64_t link = TraceEvent::kNoLink;
+    std::uint32_t open = kNoFlight;
+    std::uint32_t generations = 0;
     std::int32_t enqueue_step = -1;
+    std::uint32_t hops = 0;  // hops the open flight has completed
   };
-  std::vector<PendingHop> pending_;  // parallel to records_
+  std::vector<PacketSlot> packets_;
 
-  std::vector<FlightRecord> records_;
+  // A completed hop awaiting layout, tagged with its record index.
+  struct LoggedHop {
+    std::uint64_t link;
+    std::int32_t enqueue_step;
+    std::int32_t transmit_step;
+    std::uint32_t depth_seen;
+    std::uint32_t flight;
+  };
+  // Hop storage is kept per region of kRegionFlights consecutive
+  // records, each with its own log: layout then scatters into one
+  // cache-sized region at a time, and frees each region's log as soon as
+  // it is laid out, so the layout adds one region, not a second copy of
+  // every hop, to the peak footprint.
+  static constexpr unsigned kRegionShift = 14;
+  static constexpr std::size_t kRegionFlights = std::size_t{1}
+                                                << kRegionShift;
+  void log_hop(const LoggedHop& h) {
+    hop_log_[h.flight >> kRegionShift].push_back(h);
+    unlaid_hops_ = true;
+  }
+
+  // Layout state: lay_out_hops() runs from const records(), so the spans,
+  // the regions and the log it drains are mutable.  Not safe to call from
+  // several threads until the stream has been flushed.
+  mutable std::vector<FlightRecord> records_;
+  // Per region: its flights' hops, grouped per flight in record order.
+  mutable std::vector<std::vector<HopSpan>> hop_regions_;
+  // Per region: hops logged since the last layout, in event order.
+  mutable std::vector<std::vector<LoggedHop>> hop_log_;
+  mutable bool unlaid_hops_ = false;
   std::vector<RetransmitEvent> retransmits_;
   std::vector<LinkFaultEvent> fault_events_;
   std::vector<LinkUse> links_;

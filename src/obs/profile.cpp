@@ -4,13 +4,19 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <sstream>
+#include <string>
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 namespace hyperpath::obs {
@@ -60,6 +66,31 @@ std::uint64_t rss_peak_kb() {
 #else
   return 0;
 #endif
+}
+
+// A "<key>:  <kib> kB" line of /proc/self/status; nullopt when absent.
+std::optional<std::uint64_t> status_kb(const char* key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  const std::size_t len = std::strlen(key);
+  while (std::getline(in, line)) {
+    if (line.compare(0, len, key) != 0 || line.size() <= len ||
+        line[len] != ':') {
+      continue;
+    }
+    std::istringstream fields(line.substr(len + 1));
+    std::uint64_t kib = 0;
+    if (fields >> kib && kib > 0) return kib;
+    return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+bool reset_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (!f) return false;
+  const bool wrote = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && wrote;
 }
 
 // Each thread caches its ThreadProfile per profiler; the vector is tiny
@@ -350,6 +381,28 @@ void Profiler::reset() {
     tp->event_head = 0;
     tp->events_total = 0;
   }
+}
+
+PeakRssStage::PeakRssStage() {
+#if defined(__GLIBC__)
+  // Hand freed heap pages back first: a stage that recycles memory an
+  // earlier stage freed would otherwise fit under the reset mark and read
+  // a rise of 0.
+  malloc_trim(0);
+#endif
+  if (reset_peak_rss()) base_kb_ = status_kb("VmRSS");
+}
+
+std::optional<std::uint64_t> PeakRssStage::rise_kb() const {
+  const std::optional<std::uint64_t> peak = status_kb("VmHWM");
+  if (!base_kb_ || !peak) return std::nullopt;
+  return *peak > *base_kb_ ? *peak - *base_kb_ : 0;
+}
+
+RssGate rss_gate(std::optional<std::uint64_t> rise_kb,
+                 std::uint64_t budget_kb) {
+  if (!rise_kb) return RssGate::kUnavailable;
+  return *rise_kb > budget_kb ? RssGate::kOver : RssGate::kWithin;
 }
 
 }  // namespace hyperpath::obs

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,29 @@ class ProfileSpan {
   Profiler* p_;
   bool active_ = false;
 };
+
+/// Peak resident set of one stage, from the kernel's resettable
+/// high-water mark.  Construction returns the allocator's free pages to the
+/// kernel (glibc malloc_trim), writes "5" to /proc/self/clear_refs, which
+/// sets VmHWM back to the current VmRSS, and notes that VmRSS; rise_kb() is
+/// VmHWM now minus it.  Unlike a getrusage ru_maxrss delta,
+/// which reads 0 for any stage that stays under an earlier process peak,
+/// this measures the stage's own peak.  Linux only: where the reset or the
+/// /proc/self/status read is unavailable, rise_kb() is nullopt — callers
+/// report "unavailable", never 0.
+class PeakRssStage {
+ public:
+  PeakRssStage();
+  std::optional<std::uint64_t> rise_kb() const;
+
+ private:
+  std::optional<std::uint64_t> base_kb_;
+};
+
+/// Verdict of a stage's peak-RSS rise against a budget.
+enum class RssGate { kUnavailable, kWithin, kOver };
+RssGate rss_gate(std::optional<std::uint64_t> rise_kb,
+                 std::uint64_t budget_kb);
 
 }  // namespace hyperpath::obs
 

@@ -94,14 +94,47 @@ void JsonlFileSink::write_meta(int dims, std::uint64_t packets) {
 void JsonlFileSink::flush() { std::fflush(file_); }
 
 void StepTrace::end_step() {
-  if (!enabled() || buf_.empty()) return;
-  std::sort(buf_.begin(), buf_.end());
-  sink_->on_events(buf_);
-  buf_.clear();
+  if (!enabled()) return;
+  // Sort the out-of-order buckets; note whether all events share one step
+  // (a sorted bucket spans one step iff its ends do).
+  bool any = false;
+  bool one_step = true;
+  std::int32_t step = 0;
+  for (std::vector<TraceEvent>& bucket : by_kind_) {
+    if (bucket.empty()) continue;
+    if (!std::is_sorted(bucket.begin(), bucket.end())) {
+      std::sort(bucket.begin(), bucket.end());
+    }
+    if (!any) step = bucket.front().step;
+    any = true;
+    one_step &= bucket.front().step == step && bucket.back().step == step;
+  }
+  if (!any) return;
+  if (one_step) {
+    for (std::vector<TraceEvent>& bucket : by_kind_) {
+      if (bucket.empty()) continue;
+      sink_->on_events(bucket);
+      bucket.clear();
+    }
+    return;
+  }
+  for (std::vector<TraceEvent>& bucket : by_kind_) {
+    merged_.insert(merged_.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+  }
+  std::sort(merged_.begin(), merged_.end());
+  sink_->on_events(merged_);
+  merged_.clear();
 }
 
 void StepTrace::finish() {
   end_step();
+  // Free the step buffers before the sink's flush, which may build large
+  // structures of its own (FlightRecorder lays out its hop arena).
+  for (std::vector<TraceEvent>& bucket : by_kind_) {
+    std::vector<TraceEvent>().swap(bucket);
+  }
+  std::vector<TraceEvent>().swap(merged_);
   if (enabled()) sink_->flush();
 }
 

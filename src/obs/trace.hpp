@@ -26,6 +26,9 @@
 // canonical sorted order at the step barrier.  The parallel simulator feeds
 // shard-local buffers into the same recorder at its merge point, so a traced
 // parallel run emits a byte-identical event stream to the serial simulator.
+// StepTrace keeps one buffer per kind, so an emitter that already produces
+// each kind in canonical order (the SoA simulator's traced sweep does) pays
+// an in-order check instead of a sort; see StepTrace below.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +89,9 @@ struct TraceEvent {
 };
 
 /// Receives batches of trace events.  Implementations need not be
-/// thread-safe: the simulators deliver from one thread only.
+/// thread-safe: the simulators deliver from one thread only.  Batch
+/// boundaries carry no meaning: one step may arrive as several consecutive
+/// batches, and only the concatenated stream is canonical.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -153,21 +158,38 @@ class JsonlFileSink final : public TraceSink {
 };
 
 /// Per-run recorder the simulators write through.  Buffers the current
-/// step's events, sorts them canonically at end_step(), and forwards the
-/// batch to the sink.  With a null sink every method is a no-op and
+/// step's events, puts them in canonical order at end_step(), and forwards
+/// them to the sink.  With a null sink every method is a no-op and
 /// enabled() lets call sites skip event construction entirely.
+///
+/// Ordering contract: events are kept in one buffer per kind.  At
+/// end_step() a buffer already in canonical order is forwarded as is; a
+/// buffer that is not gets sorted first.  When every buffered event shares
+/// one step, the kind buffers forwarded in kind order are the canonical
+/// batch.  A batch spanning several steps (the recovery engine flushes a
+/// whole wave at once) is merged and fully sorted instead.  The sink sees
+/// the same stream either way: exactly std::sort of the recorded events.
 class StepTrace {
  public:
   explicit StepTrace(TraceSink* sink) : sink_(sink) {}
 
   bool enabled() const { return sink_ != nullptr; }
 
-  void record(const TraceEvent& e) { buf_.push_back(e); }
+  void record(const TraceEvent& e) {
+    by_kind_[static_cast<std::size_t>(e.kind)].push_back(e);
+  }
   void record(std::span<const TraceEvent> events) {
-    buf_.insert(buf_.end(), events.begin(), events.end());
+    for (const TraceEvent& e : events) record(e);
   }
 
-  /// Sorts and flushes the current step's buffer to the sink.
+  /// Room for `n` more events of `kind` this step: a hint from an emitter
+  /// that knows its counts up front, sparing the buffer repeated doubling.
+  void reserve(TraceEventKind kind, std::size_t n) {
+    std::vector<TraceEvent>& bucket = by_kind_[static_cast<std::size_t>(kind)];
+    bucket.reserve(bucket.size() + n);
+  }
+
+  /// Orders and flushes the current step's buffers to the sink.
   void end_step();
 
   /// Final flush (call once, after the last end_step()).
@@ -175,7 +197,8 @@ class StepTrace {
 
  private:
   TraceSink* sink_;
-  std::vector<TraceEvent> buf_;
+  std::vector<TraceEvent> by_kind_[kNumTraceEventKinds];
+  std::vector<TraceEvent> merged_;  // multi-step batches only
 };
 
 }  // namespace hyperpath::obs

@@ -288,6 +288,9 @@ struct StepScratch {
   /// legacy path; a cursor walks it as steps advance.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pending;
   std::vector<std::uint32_t> highwater;  // per-link, tracing runs only
+  /// One bit per link, all-zero between sorts: orders the worklist of a
+  /// traced run before each sweep (tracing runs only).
+  std::vector<std::uint64_t> link_mask;
 };
 
 /// The calling thread's scratch arena.  Thread-local, so concurrent

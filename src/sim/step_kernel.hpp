@@ -33,8 +33,11 @@
 //
 // Determinism: the sweep visits the worklist in order and emits events in
 // deterministic order per worklist; everything order-sensitive downstream
-// (trace streams, arrivals) is canonically sorted by the callers exactly as
-// before, so both engines and every shard count produce identical results.
+// (trace streams, arrivals) is put in canonical order by the callers, so
+// both engines and every shard count produce identical results.  A traced
+// serial run orders its worklist by link first, which makes the sweep's
+// events canonical as emitted (obs/trace.hpp's StepTrace then skips the
+// sort).
 #pragma once
 
 #include <algorithm>
@@ -133,7 +136,9 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
 /// Sorts the packet ids of `moved` ascending — the canonical arrival order.
 /// A packet rides at most one queue, so one sweep moves it at most once:
 /// the ids are distinct, which turns a one-bit-per-packet mask into an
-/// exact counting sort.  Set each id's bit (random writes, but the mask is
+/// exact counting sort.  Any list of distinct ids works the same way: the
+/// traced SoA run also orders its link worklist with it, over a
+/// one-bit-per-link mask.  Set each id's bit (random writes, but the mask is
 /// only num_packets/8 bytes — L2-resident where the id vector is not), then
 /// one ascending word scan re-emits the ids in order and clears the mask
 /// behind itself.  `mask` must be all-zero on entry, sized to

@@ -43,7 +43,10 @@ SimResult run_soa(const Hypercube& host, const std::vector<Packet>& packets,
     scratch.pending.clear();
     scratch.hop.assign(packets.size(), 0);
     scratch.moved_mask.assign((packets.size() + 63) / 64, 0);
-    if constexpr (Traced) scratch.highwater.assign(num_links, 0);
+    if constexpr (Traced) {
+      scratch.highwater.assign(num_links, 0);
+      scratch.link_mask.assign((num_links + 63) / 64, 0);
+    }
   }
 
   simcore::LinkFifoArena& arena = scratch.arena;
@@ -76,12 +79,20 @@ SimResult run_soa(const Hypercube& host, const std::vector<Packet>& packets,
       if (route_len[id] == 0) continue;  // already at destination
       ++undelivered;
       if (release[id] == 0) {
-        const std::uint64_t link = enqueue(id);
-        if constexpr (Traced) {
-          trace.record({0, TraceEventKind::kRelease, id, link, 0});
-        }
+        enqueue(id);
       } else {
         pending.emplace_back(release[id], id);
+      }
+    }
+    // Step-0 releases in canonical (link, packet) order: ascending links,
+    // and each link's queue holds its packets in ascending id order.
+    if constexpr (Traced) {
+      simcore::sort_moved(active, scratch.link_mask);
+      trace.reserve(TraceEventKind::kRelease, undelivered - pending.size());
+      for (const std::uint32_t link : active) {
+        arena.for_each(link, [&](std::uint32_t id) {
+          trace.record({0, TraceEventKind::kRelease, id, link, 0});
+        });
       }
     }
     // (release, id) ascending reproduces the legacy per-step bucket order:
@@ -159,8 +170,19 @@ SimResult run_soa(const Hypercube& host, const std::vector<Packet>& packets,
 
     // One transmission per active link (step_kernel.hpp); the worklist is
     // compacted in place, carrying only links whose queue is still nonempty
-    // into the next step.
+    // into the next step.  A traced sweep first puts the worklist in
+    // ascending link order (link ids are distinct, so the mask sort is
+    // exact), which makes its transmit/stall/queue_depth events come out
+    // canonical; results do not depend on the visiting order.
     moved.clear();
+    if constexpr (Traced) {
+      simcore::sort_moved(active, scratch.link_mask);
+      for (const TraceEventKind kind :
+           {TraceEventKind::kTransmit, TraceEventKind::kStall,
+            TraceEventKind::kQueueDepth}) {
+        trace.reserve(kind, active.size());
+      }
+    }
     const auto emit = [&](const TraceEvent& e) { trace.record(e); };
     simcore::SweepStats sweep;
     if (policy == Arbitration::kFifo) {
@@ -185,6 +207,7 @@ SimResult run_soa(const Hypercube& host, const std::vector<Packet>& packets,
     // that node.
     simcore::sort_moved(moved, scratch.moved_mask);
     simcore::advance_hops(moved, hop);
+    if constexpr (Traced) trace.reserve(TraceEventKind::kArrive, moved.size());
     for (const std::uint32_t id : moved) {
       if (hop[id] == route_len[id]) {
         --undelivered;

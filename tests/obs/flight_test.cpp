@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -98,6 +99,43 @@ TEST(FlightRecorder, MidFlightDropKeepsPendingHop) {
   EXPECT_EQ(rec.inconsistencies(), 0u);
 }
 
+TEST(FlightRecorder, HopsOfAFlightSpanSeveralFlushes) {
+  // A recovery run flushes once per wave while flights stay open across
+  // the flush: each layout must append to the flight's run, not restart it,
+  // and every flight's hops must stay contiguous and in event order.
+  FlightRecorder rec;
+  rec.add({0, TraceEventKind::kRelease, 0, 2, 0});
+  rec.add({0, TraceEventKind::kRelease, 1, 4, 0});
+  rec.add({0, TraceEventKind::kTransmit, 0, 2, 1});
+  rec.add({0, TraceEventKind::kTransmit, 1, 4, 1});
+  rec.flush();
+  ASSERT_EQ(rec.records()[0].hops.size(), 1u);
+  rec.add({1, TraceEventKind::kTransmit, 1, 6, 1});
+  rec.add({1, TraceEventKind::kTransmit, 0, 3, 1});
+  rec.add({1, TraceEventKind::kArrive, 1, kNoLink, 2});
+  rec.add({2, TraceEventKind::kTransmit, 0, 8, 1});
+  rec.add({2, TraceEventKind::kArrive, 0, kNoLink, 3});
+  rec.flush();
+
+  ASSERT_EQ(rec.records().size(), 2u);
+  const FlightRecord& p0 = rec.records()[0];
+  const FlightRecord& p1 = rec.records()[1];
+  const std::vector<obs::HopSpan> want0 = {
+      {2, 0, 0, 1}, {3, 1, 1, 1}, {8, 2, 2, 1}};
+  const std::vector<obs::HopSpan> want1 = {{4, 0, 0, 1}, {6, 1, 1, 1}};
+  EXPECT_TRUE(std::ranges::equal(p0.hops, want0));
+  EXPECT_TRUE(std::ranges::equal(p1.hops, want1));
+  // One region of hop storage, grouped per flight in record order.
+  EXPECT_EQ(p0.hops.data() + p0.hops.size(), p1.hops.data());
+  EXPECT_EQ(rec.inconsistencies(), 0u);
+
+  // A move keeps the hop storage, so the moved-to recorder's spans stay
+  // valid.
+  const FlightRecorder moved = std::move(rec);
+  EXPECT_TRUE(std::ranges::equal(moved.records()[0].hops, want0));
+  EXPECT_TRUE(std::ranges::equal(moved.records()[1].hops, want1));
+}
+
 TEST(FlightRecorder, FlagsMalformedStreams) {
   FlightRecorder rec;
   rec.add({0, TraceEventKind::kArrive, 9, kNoLink, 1});
@@ -182,7 +220,7 @@ TEST(LoadTrace, RoundTripsALiveTraceThroughJsonl) {
     const FlightRecord& b = loaded.records()[i];
     EXPECT_EQ(a.packet, b.packet);
     EXPECT_EQ(a.release_step, b.release_step);
-    EXPECT_EQ(a.hops, b.hops);
+    EXPECT_TRUE(std::ranges::equal(a.hops, b.hops));
     EXPECT_EQ(a.fate, b.fate);
     EXPECT_EQ(a.end_step, b.end_step);
     EXPECT_EQ(a.latency, b.latency);

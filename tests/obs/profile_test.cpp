@@ -8,6 +8,7 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -269,6 +270,37 @@ TEST(Profiler, GlobalProfilerSpansViaMacro) {
   EXPECT_TRUE(found);
   g.reset();
   g.set_enabled(was_enabled);
+}
+
+TEST(PeakRssStage, MeasuresAStageUnderAnEarlierProcessPeak) {
+  // Raise the process peak first: a ru_maxrss delta would then read 0 for
+  // the smaller stage below, the stage peak must not.
+  {
+    std::vector<std::uint8_t> earlier(96u << 20);
+    for (std::size_t i = 0; i < earlier.size(); i += 4096) earlier[i] = 1;
+    g_sink = g_sink + earlier[earlier.size() / 2];
+  }
+  const obs::PeakRssStage stage;
+  constexpr std::uint64_t kMiB = 64;
+  {
+    std::vector<std::uint8_t> block(kMiB << 20);
+    for (std::size_t i = 0; i < block.size(); i += 4096) block[i] = 1;
+    g_sink = g_sink + block[block.size() / 2];
+  }
+  const std::optional<std::uint64_t> rise = stage.rise_kb();
+  if (!rise) GTEST_SKIP() << "VmHWM reset unavailable on this host";
+  // 64 MiB touched reads at least 64 MB: the MiB/MB slack absorbs the few
+  // pages the process may release between the reset and the allocation.
+  EXPECT_GE(*rise * 1024, std::uint64_t{64'000'000});
+
+  constexpr std::uint64_t kBudgetKb = std::uint64_t{2} << 20;  // 2 GiB
+  EXPECT_EQ(obs::rss_gate(rise, kBudgetKb), obs::RssGate::kWithin);
+  EXPECT_EQ(obs::rss_gate(*rise + kBudgetKb, kBudgetKb), obs::RssGate::kOver);
+}
+
+TEST(PeakRssStage, UnavailableReadingIsNotAPass) {
+  EXPECT_EQ(obs::rss_gate(std::nullopt, 1), obs::RssGate::kUnavailable);
+  EXPECT_EQ(obs::rss_gate(0, 1), obs::RssGate::kWithin);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "base/rng.hpp"
 #include "core/cycle_multipath.hpp"
@@ -77,6 +79,106 @@ TEST(StepTrace, SortsEventsCanonicallyWithinAStep) {
   EXPECT_EQ(sink.events()[0].kind, TraceEventKind::kRelease);
   EXPECT_EQ(sink.events()[1].link, 3u);
   EXPECT_EQ(sink.events()[2].link, 9u);
+}
+
+/// Keeps every event it receives, in order.
+class CollectSink final : public obs::TraceSink {
+ public:
+  void on_events(std::span<const TraceEvent> events) override {
+    got.insert(got.end(), events.begin(), events.end());
+  }
+  std::vector<TraceEvent> got;
+};
+
+/// A random event: every kind, links and packets from small pools so that
+/// equal (kind, link, packet) keys with different values occur, and the
+/// kNoLink / kNoPacket sentinels mixed in with real ids.
+TraceEvent random_event(Rng& rng, std::int32_t step) {
+  TraceEvent e;
+  e.step = step;
+  e.kind = static_cast<TraceEventKind>(rng.below(obs::kNumTraceEventKinds));
+  e.link = rng.chance(0.2) ? TraceEvent::kNoLink : rng.below(6);
+  e.packet = rng.chance(0.2) ? TraceEvent::kNoPacket
+                             : static_cast<std::uint32_t>(rng.below(6));
+  e.value = rng.below(3);
+  return e;
+}
+
+/// `batch` sorted, then its kinds interleaved at random while each kind's
+/// own events keep their canonical order.
+std::vector<TraceEvent> interleave_kinds(std::vector<TraceEvent> batch,
+                                         Rng& rng) {
+  std::sort(batch.begin(), batch.end());
+  std::vector<std::vector<TraceEvent>> by_kind(obs::kNumTraceEventKinds);
+  for (const TraceEvent& e : batch) {
+    by_kind[static_cast<std::size_t>(e.kind)].push_back(e);
+  }
+  std::vector<std::size_t> next(by_kind.size(), 0);
+  std::vector<TraceEvent> out;
+  while (out.size() < batch.size()) {
+    const std::size_t k = rng.below(by_kind.size());
+    if (next[k] < by_kind[k].size()) out.push_back(by_kind[k][next[k]++]);
+  }
+  return out;
+}
+
+/// Records `order` through a StepTrace (reused across batches, as the
+/// simulators reuse theirs across steps) and checks the sink received
+/// exactly std::sort of the batch.
+void expect_canonical(obs::StepTrace& trace, CollectSink& sink,
+                      const std::vector<TraceEvent>& order) {
+  sink.got.clear();
+  for (const TraceEvent& e : order) trace.record(e);
+  trace.end_step();
+  std::vector<TraceEvent> want = order;
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(sink.got.size(), want.size());
+  EXPECT_TRUE(sink.got == want);
+}
+
+TEST(StepTrace, OrderingContractMatchesAFullSort) {
+  CollectSink sink;
+  obs::StepTrace trace(&sink);
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const bool multi_step = trial % 3 == 0;
+    const std::size_t count = rng.below(120);
+    std::vector<TraceEvent> batch;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::int32_t step =
+          multi_step ? static_cast<std::int32_t>(rng.below(4)) : 7;
+      batch.push_back(random_event(rng, step));
+    }
+    // Arbitrary order: buckets fail the in-order check and get sorted.
+    expect_canonical(trace, sink, batch);
+    // Canonical within each kind but kinds interleaved: the emission order
+    // of an ordered emitter, which takes the no-sort path.
+    expect_canonical(trace, sink, interleave_kinds(batch, rng));
+  }
+}
+
+TEST(StepTrace, UnsortedTransmitBucketStillComesOutCanonical) {
+  // Every bucket in order except the transmits, which arrive descending:
+  // only the fallback sort of that one bucket can make the batch canonical.
+  CollectSink sink;
+  obs::StepTrace trace(&sink);
+  std::vector<TraceEvent> batch;
+  for (std::uint64_t link = 0; link < 8; ++link) {
+    batch.push_back({3, TraceEventKind::kRelease,
+                     static_cast<std::uint32_t>(link), link, 0});
+  }
+  for (std::uint64_t link = 8; link-- > 0;) {
+    batch.push_back({3, TraceEventKind::kTransmit,
+                     static_cast<std::uint32_t>(link), link, 1});
+  }
+  for (std::uint32_t id = 0; id < 8; ++id) {
+    batch.push_back({3, TraceEventKind::kArrive, id, TraceEvent::kNoLink, 1});
+  }
+  expect_canonical(trace, sink, batch);
+  ASSERT_EQ(sink.got.size(), 24u);
+  EXPECT_EQ(sink.got[8].kind, TraceEventKind::kTransmit);
+  EXPECT_EQ(sink.got[8].link, 0u);
+  EXPECT_EQ(sink.got[15].link, 7u);
 }
 
 TEST(RingBuffer, DropsBeyondCapacityAndCounts) {
