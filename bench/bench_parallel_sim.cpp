@@ -1,14 +1,14 @@
-// Infrastructure benchmark: thread-parallel phase simulation.
+// Infrastructure benchmark: Theorem-1 phase simulation, untraced and with
+// a flight recorder attached.
 //
-// Not a paper experiment — this measures the simulator itself: the sharded
-// parallel store-and-forward simulator must match the serial one bit for
-// bit (tests enforce that) and should win wall-clock on large phases.  The
-// table also measures tracing overhead: a traced run (flight recorder
-// assembling per-packet records in-line) against the untraced baseline,
-// and confirms makespans agree.  Flight-record summaries (queue-wait
-// percentiles, critical-path length) are exported as exact gated metrics —
-// traced parallel runs are bit-identical to serial, so every one of them
-// is thread-count invariant.
+// Not a paper experiment — this measures the simulator itself: tracing
+// overhead of a traced run (flight recorder assembling per-packet records
+// in-line) against the untraced baseline, and confirms makespans agree.
+// Flight-record summaries (queue-wait percentiles, critical-path length)
+// are exported as exact gated metrics.  The report keeps its historical
+// name, parallel_sim: it once also timed a sharded thread-parallel
+// simulator, removed after it measured 0.94–1.21× serial speed at Q_16 on
+// 4 threads (EXPERIMENTS.md, E15).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -18,7 +18,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flight.hpp"
-#include "sim/parallel_sim.hpp"
+#include "sim/store_forward.hpp"
 #include "sim/phase.hpp"
 
 namespace hyperpath {
@@ -32,9 +32,9 @@ double seconds_of(const std::function<void()>& fn) {
 }
 
 void print_table(bench::Report& report) {
-  bench::Table t("E15: parallel simulator — serial vs sharded vs traced",
-                 {"n", "packets", "makespan", "serial ms", "parallel ms (4t)",
-                  "speedup", "traced ms", "trace events"});
+  bench::Table t("E15: phase simulator — untraced vs flight-recorded",
+                 {"n", "packets", "makespan", "serial ms", "traced ms",
+                  "trace events"});
   for (int n : {10, 16}) {
     const auto emb = [&] {
       obs::ScopedTimer timer("construct");
@@ -42,17 +42,15 @@ void print_table(bench::Report& report) {
     }();
     const auto packets = phase_packets(emb, n);
     StoreForwardSim serial(n);
-    ParallelStoreForwardSim parallel(n, 4);
 
-    SimResult rs, rp, rt;
+    SimResult rs, rt;
     obs::FlightRecorder rec;
     obs::ScopedTimer timer("simulate");
     const double s_serial = seconds_of([&] { rs = serial.run(packets); });
-    const double s_par = seconds_of([&] { rp = parallel.run(packets); });
     const double s_traced = seconds_of([&] {
       rt = serial.run(packets, Arbitration::kFifo, 1 << 22, &rec);
     });
-    if (rs.makespan != rp.makespan || rs.makespan != rt.makespan) {
+    if (rs.makespan != rt.makespan) {
       std::fprintf(stderr, "FATAL: simulator variants disagree on n=%d\n", n);
       std::exit(1);
     }
@@ -62,15 +60,14 @@ void print_table(bench::Report& report) {
       std::fprintf(stderr, "FATAL: flight records disagree on n=%d\n", n);
       std::exit(1);
     }
-    t.row(n, packets.size(), rs.makespan, s_serial * 1e3, s_par * 1e3,
-          s_serial / s_par, s_traced * 1e3, rec.events_seen());
+    t.row(n, packets.size(), rs.makespan, s_serial * 1e3, s_traced * 1e3,
+          rec.events_seen());
     // Wall-clock goes into the timings section (compared only with an
     // explicit --timing-tol), never into metrics: the bench_compare CI
     // gate holds metrics to exact equality, which only deterministic
     // simulation outputs can satisfy.
     auto& reg = obs::MetricsRegistry::global();
     reg.record_span("serial_n" + std::to_string(n), s_serial);
-    reg.record_span("parallel_n" + std::to_string(n), s_par);
     reg.record_span("traced_n" + std::to_string(n), s_traced);
     const std::string suffix = "_n" + std::to_string(n);
     report.metric("makespan" + suffix, rs.makespan);
@@ -83,7 +80,6 @@ void print_table(bench::Report& report) {
     report.metric("peak_congestion" + suffix, a.peak_congestion);
   }
   t.print();
-  report.param("threads", 4);
   report.table(t);
 }
 
@@ -97,23 +93,6 @@ void BM_SerialPhase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SerialPhase)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_ParallelPhase(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const auto emb = theorem1_cycle_embedding(n);
-  const auto packets = phase_packets(emb, n);
-  ParallelStoreForwardSim sim(n, threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(packets).makespan);
-  }
-}
-BENCHMARK(BM_ParallelPhase)
-    ->Args({10, 2})
-    ->Args({10, 4})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_TracedSerialPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

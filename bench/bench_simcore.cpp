@@ -3,10 +3,10 @@
 // (reference_sim.hpp).
 //
 // Not a paper experiment — this measures the simulator itself: steps/sec
-// and packet-hops/sec throughput of the store-and-forward core (serial and
-// parallel, traced and untraced) and the wormhole core, on Theorem-1-phase
-// workloads (the heaviest traffic the paper's tables run) and a bit-reversal
-// wormhole permutation.  Every simulation metric in the report is a
+// and packet-hops/sec throughput of the store-and-forward core (traced and
+// untraced) and the wormhole core, on Theorem-1-phase workloads (the
+// heaviest traffic the paper's tables run) and a bit-reversal wormhole
+// permutation.  Every simulation metric in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
 // event counts) and is held to exact equality by the bench_compare CI gate;
 // wall-clock goes into the timings section only.
@@ -22,7 +22,6 @@
 #include "core/grid_multipath.hpp"
 #include "par/task_pool.hpp"
 #include "sim/montecarlo.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/reference_sim.hpp"
 #include "sim/store_forward.hpp"
@@ -59,11 +58,13 @@ void print_store_forward_table(bench::Report& report) {
   // theorem1_cycle_embedding's direct range (⌊n/4⌋ must be a power of two),
   // so they run the Corollary-1 torus product — every axis embedded by
   // Theorem 1 — at 64×64 and 128×128; Q_16 is the direct Theorem-1 cycle.
-  // "speedup" is map-reference seconds / flat seconds for the serial
-  // simulator; the parallel column uses 4 shards.
+  // "speedup" is map-reference seconds / flat seconds.  The flat run's own
+  // elapsed time and packet-steps/second (SimResult::packet_steps_per_sec)
+  // land in the timings section as soa_serial_* / pps_soa_serial_* spans
+  // so bench_runner --history and bench_trend chart them.
   bench::Table t("S1: store-and-forward core — map reference vs flat arena",
                  {"n", "packets", "makespan", "Mhops", "ref ms", "flat ms",
-                  "speedup", "ref Mhops/s", "flat Mhops/s", "par4 ms"});
+                  "speedup", "ref Mhops/s", "flat Mhops/s"});
   auto& reg = obs::MetricsRegistry::global();
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
@@ -73,14 +74,12 @@ void print_store_forward_table(bench::Report& report) {
     const auto packets = phase_packets(emb, n);
     const refsim::RefStoreForwardSim ref(n);
     const StoreForwardSim flat(n);
-    const ParallelStoreForwardSim par(n, 4);
 
-    SimResult rr, rf, rp;
+    SimResult rr, rf;
     obs::ScopedTimer timer("simulate");
     const double s_ref = seconds_of([&] { rr = ref.run(packets); });
     const double s_flat = seconds_of([&] { rf = flat.run(packets); });
-    const double s_par = seconds_of([&] { rp = par.run(packets); });
-    if (rr.makespan != rf.makespan || rr.makespan != rp.makespan ||
+    if (rr.makespan != rf.makespan ||
         rr.total_transmissions != rf.total_transmissions) {
       std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
       std::exit(1);
@@ -89,12 +88,13 @@ void print_store_forward_table(bench::Report& report) {
           static_cast<double>(rf.total_transmissions) / 1e6, s_ref * 1e3,
           s_flat * 1e3, s_ref / s_flat,
           mhops_per_sec(rr.total_transmissions, s_ref),
-          mhops_per_sec(rf.total_transmissions, s_flat), s_par * 1e3);
+          mhops_per_sec(rf.total_transmissions, s_flat));
 
     const std::string sn = std::to_string(n);
     reg.record_span("ref_serial_n" + sn, s_ref);
     reg.record_span("flat_serial_n" + sn, s_flat);
-    reg.record_span("flat_parallel4_n" + sn, s_par);
+    reg.record_span("soa_serial_n" + sn, rf.elapsed_seconds);
+    reg.record_span("pps_soa_serial_n" + sn, rf.packet_steps_per_sec());
     report.metric("makespan_n" + sn, rf.makespan);
     report.metric("hops_n" + sn, rf.total_transmissions);
     report.metric("link_visits_n" + sn, rf.link_visits);
@@ -205,66 +205,13 @@ void print_wormhole_table(bench::Report& report) {
   report.table(t);
 }
 
-void print_engine_table(bench::Report& report) {
-  // S4: the retained flat-arena step loop (SimEngine::kFlatArena) against
-  // the SoA route-plan kernel (kSoa, the production default) — same
-  // Theorem-1 phase workloads as S1, untraced and fault-free, which is
-  // exactly the branch-light specialization step_sweep<false, false>.
-  // Every SimResult field must match bit-exactly (FATAL otherwise); the
-  // packet-steps/second columns are the first-class throughput metric
-  // (SimResult::packet_steps_per_sec) and land in the timings section as
-  // pps_* spans so bench_runner --history and bench_trend chart them.
-  bench::Table t("S4: step-sweep engine — flat arena vs SoA route plan",
-                 {"n", "packets", "makespan", "flat ms", "soa ms", "speedup",
-                  "flat Mpps", "soa Mpps"});
-  auto& reg = obs::MetricsRegistry::global();
-  for (int n : {12, 14, 16}) {
-    const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
-      return phase_embedding(n);
-    }();
-    const auto packets = phase_packets(emb, n);
-    const StoreForwardSim flat(n, SimEngine::kFlatArena);
-    const StoreForwardSim soa(n, SimEngine::kSoa);
-
-    obs::ScopedTimer timer("simulate");
-    // One warm-up pair so neither engine pays the cold-cache/page-fault
-    // toll, then the measured pair.
-    (void)flat.run(packets);
-    (void)soa.run(packets);
-    const SimResult rf = flat.run(packets);
-    const SimResult rs = soa.run(packets);
-    if (rf.makespan != rs.makespan ||
-        rf.total_transmissions != rs.total_transmissions ||
-        rf.max_queue != rs.max_queue || rf.link_visits != rs.link_visits ||
-        rf.dim_transmissions != rs.dim_transmissions ||
-        rf.latency != rs.latency || rf.utilization != rs.utilization) {
-      std::fprintf(stderr, "FATAL: step-sweep engines disagree on n=%d\n", n);
-      std::exit(1);
-    }
-    const double pps_flat = rf.packet_steps_per_sec();
-    const double pps_soa = rs.packet_steps_per_sec();
-    t.row(n, packets.size(), rs.makespan, rf.elapsed_seconds * 1e3,
-          rs.elapsed_seconds * 1e3, rf.elapsed_seconds / rs.elapsed_seconds,
-          pps_flat / 1e6, pps_soa / 1e6);
-
-    const std::string sn = std::to_string(n);
-    reg.record_span("flatengine_serial_n" + sn, rf.elapsed_seconds);
-    reg.record_span("soa_serial_n" + sn, rs.elapsed_seconds);
-    reg.record_span("pps_flat_serial_n" + sn, pps_flat);
-    reg.record_span("pps_soa_serial_n" + sn, pps_soa);
-    report.metric("s4_makespan_n" + sn, rs.makespan);
-    report.metric("s4_hops_n" + sn, rs.total_transmissions);
-    report.metric("s4_link_visits_n" + sn, rs.link_visits);
-  }
-  t.print();
-  report.table(t);
-
-  // The same comparison end-to-end: a 1000-trial Q_10 Monte-Carlo fault
-  // campaign per engine (serial transport, threshold w-1, moderate
-  // transient-heavy intensity).  The campaign digest folds every field of
-  // every trial, so any behavioural difference anywhere in recovery —
-  // fates, truncation steps, retransmit scheduling — trips the gate.
+void print_campaign_gate(bench::Report& report) {
+  // End-to-end determinism gate: a 1000-trial Q_10 Monte-Carlo fault
+  // campaign (threshold w-1, moderate transient-heavy intensity) on an
+  // 8-thread pool.  The campaign digest folds every field of every trial,
+  // so any behavioural change anywhere in recovery — fates, truncation
+  // steps, retransmit scheduling — moves the gated s4_mc_* metrics (their
+  // names date from the retired S4 engine-vs-engine table).
   const auto emb10 = [&] {
     obs::ScopedTimer timer("construct");
     return theorem1_cycle_embedding(10);
@@ -284,39 +231,19 @@ void print_engine_table(bench::Report& report) {
   par::PoolScope scope(pool);
   const MonteCarloDriver driver(emb10);
   obs::ScopedTimer timer("simulate");
-  cfg.recovery.engine = SimEngine::kFlatArena;
-  double s_mc_flat = 0;
-  CampaignStats mc_flat;
-  s_mc_flat = seconds_of([&] { mc_flat = driver.run(cfg); });
-  cfg.recovery.engine = SimEngine::kSoa;
-  double s_mc_soa = 0;
-  CampaignStats mc_soa;
-  s_mc_soa = seconds_of([&] { mc_soa = driver.run(cfg); });
-  if (mc_flat.digest != mc_soa.digest ||
-      mc_flat.messages_complete != mc_soa.messages_complete ||
-      mc_flat.retransmissions != mc_soa.retransmissions ||
-      mc_flat.fragments_lost != mc_soa.fragments_lost ||
-      mc_flat.max_makespan != mc_soa.max_makespan) {
-    std::fprintf(stderr,
-                 "FATAL: Monte-Carlo campaign diverges across engines "
-                 "(digests %016llx / %016llx)\n",
-                 static_cast<unsigned long long>(mc_flat.digest),
-                 static_cast<unsigned long long>(mc_soa.digest));
-    std::exit(1);
-  }
-  std::printf("S4 Monte-Carlo gate: Q_10 x %u trials, digest %016llx on "
-              "both engines (flat %.2fs, soa %.2fs)\n\n",
-              cfg.trials, static_cast<unsigned long long>(mc_soa.digest),
-              s_mc_flat, s_mc_soa);
-  reg.record_span("mc_flatengine_q10", s_mc_flat);
-  reg.record_span("mc_soa_q10", s_mc_soa);
+  CampaignStats mc;
+  const double s_mc = seconds_of([&] { mc = driver.run(cfg); });
+  std::printf("S4 Monte-Carlo gate: Q_10 x %u trials, digest %016llx "
+              "(%.2fs)\n\n",
+              cfg.trials, static_cast<unsigned long long>(mc.digest), s_mc);
+  obs::MetricsRegistry::global().record_span("mc_soa_q10", s_mc);
   // uint64 digests do not survive a JSON double round-trip (> 2^53): carry
   // the gated value as two exact 32-bit halves.
-  report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc_soa.digest >> 32));
+  report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc.digest >> 32));
   report.metric("s4_mc_digest_lo",
-                static_cast<std::uint64_t>(mc_soa.digest & 0xffffffffull));
-  report.metric("s4_mc_messages_complete", mc_soa.messages_complete);
-  report.metric("s4_mc_retransmissions", mc_soa.retransmissions);
+                static_cast<std::uint64_t>(mc.digest & 0xffffffffull));
+  report.metric("s4_mc_messages_complete", mc.messages_complete);
+  report.metric("s4_mc_retransmissions", mc.retransmissions);
 }
 
 void BM_FlatSerialPhase(benchmark::State& state) {
@@ -351,21 +278,6 @@ void BM_RefSerialPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_RefSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
-void BM_FlatParallelPhase(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  const auto emb = phase_embedding(n);
-  const auto packets = phase_packets(emb, n);
-  const ParallelStoreForwardSim sim(n, threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(packets).makespan);
-  }
-}
-BENCHMARK(BM_FlatParallelPhase)
-    ->Args({14, 2})
-    ->Args({14, 4})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FlatWormhole(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto worms = ecube_worms(n, bit_reversal_pattern(n), 32);
@@ -384,7 +296,7 @@ int main(int argc, char** argv) {
   hyperpath::print_store_forward_table(report);
   hyperpath::print_tracing_table(report);
   hyperpath::print_wormhole_table(report);
-  hyperpath::print_engine_table(report);
+  hyperpath::print_campaign_gate(report);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -46,7 +46,7 @@ void compare_metrics(const std::string& report, const JsonValue* cur,
     const JsonValue* cval = cur ? cur->find(key) : nullptr;
     if (!cval || !cval->is_number()) {
       out.push_back({report, key, false, bval.as_number(), 0, 0,
-                     DeltaKind::kMissing});
+                     DeltaKind::kVanished});
       continue;
     }
     const double b = bval.as_number();
@@ -99,13 +99,16 @@ const char* to_string(DeltaKind kind) {
     case DeltaKind::kImprovement: return "improvement";
     case DeltaKind::kMissing: return "missing";
     case DeltaKind::kNew: return "new";
+    case DeltaKind::kVanished: return "VANISHED";
   }
   return "?";
 }
 
 std::size_t CompareResult::regressions() const {
   std::size_t n = 0;
-  for (const Delta& d : deltas) n += (d.kind == DeltaKind::kRegression);
+  for (const Delta& d : deltas) {
+    n += (d.kind == DeltaKind::kRegression || d.kind == DeltaKind::kVanished);
+  }
   return n;
 }
 

@@ -12,8 +12,12 @@
 //     baseline × (1 + tol) regresses, faster is an improvement.
 //
 // Reports present on one side only are surfaced as kMissing/kNew, never as
-// regressions (suites grow; baselines trail).  Pure data transformation —
-// printing and exit codes stay in the tool.
+// regressions (suites grow; baselines trail, and a subset run such as
+// `bench_runner --only oracle` is compared against the full baseline).  A
+// metric that vanished from a report both sides have is kVanished, which
+// gates like a regression: deleting a gated metric must be a deliberate
+// baseline edit, never a silent pass.  Pure data transformation — printing
+// and exit codes stay in the tool.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +32,10 @@ enum class DeltaKind {
   kOk,           // within tolerance
   kRegression,   // beyond tolerance (the gating kind)
   kImprovement,  // timing faster than baseline beyond tolerance
-  kMissing,      // in baseline, absent from current
+  kMissing,      // report or timing in baseline, absent from current
   kNew,          // in current, absent from baseline
+  kVanished,     // metric of a report both suites have, absent from current
+                 // (gating: counted by regressions())
 };
 
 const char* to_string(DeltaKind kind);
@@ -55,7 +61,7 @@ struct CompareOptions {
 struct CompareResult {
   std::vector<Delta> deltas;
 
-  std::size_t regressions() const;
+  std::size_t regressions() const;  // kRegression + kVanished
   std::size_t compared() const;  // kOk + kRegression + kImprovement
   bool pass() const { return regressions() == 0; }
 };

@@ -3,25 +3,25 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
 #include "sim/step_kernel.hpp"
+#include "sim/store_forward.hpp"
 
 namespace hyperpath {
 
 namespace {
 
 /// NodeSink that feeds the RoutePlan streaming API and records global link
-/// ids on the side.  One instance serves a whole compilation: reset() per
-/// route, plan.end_route_unlinked() by the caller.
+/// ids on the side.  One instance per route; plan.end_route_unlinked() by
+/// the caller.
 class PlanSink final : public NodeSink {
  public:
   PlanSink(simcore::RoutePlan& plan, std::vector<std::uint64_t>& glinks,
            int dims)
       : plan_(plan), glinks_(glinks), dims_(dims) {}
-
-  void reset() { first_ = true; }
 
   void push(Node v) override {
     if (!first_) {
@@ -64,9 +64,11 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   HP_CHECK(p > 0, "packets_per_edge must be positive");
 
   OraclePhaseResult result;
-  result.dim_transmissions.assign(dims, 0);
 
-  simcore::RoutePlan plan;
+  // Call-local, not the thread's step_scratch(): the plan-sized state is
+  // freed on return instead of pinning a Q_24 phase's memory to the thread.
+  simcore::StepScratch scratch;
+  simcore::RoutePlan& plan = scratch.plan;
   std::vector<std::uint64_t> glinks;  // global link id per hop, in hop order
 
   {
@@ -74,7 +76,6 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
     // stable-sorted by increasing path length; packet j rides
     // order[j mod width]), but no Packet or HostPath ever exists.
     HP_PROFILE_SPAN("compile");
-    PlanSink sink(plan, glinks, dims);
     std::vector<int> order;
     for (const OracleEdge& e : edges) {
       const int w = oracle.width(e);
@@ -85,10 +86,7 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
         return oracle.path_hops(e, a) < oracle.path_hops(e, b);
       });
       for (int j = 0; j < p; ++j) {
-        sink.reset();
-        plan.begin_route(0);
-        oracle.path(e, order[j % w], sink);
-        plan.end_route_unlinked(dims, "oracle route invalid");
+        add_oracle_route(oracle, e, order[j % w], 0, plan, glinks);
       }
     }
     if (plan.route_offsets.empty()) plan.route_offsets.push_back(0);
@@ -130,12 +128,6 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
     dim_of[l] = static_cast<std::uint8_t>(uniq[l] % dims);
   }
 
-  simcore::LinkFifoArena arena(num_links, num_routes);
-  std::vector<std::uint32_t> active;
-  std::vector<std::uint32_t> hop(num_routes, 0);
-  std::vector<std::uint32_t> moved;
-  std::vector<std::uint64_t> moved_mask((num_routes + 63) / 64, 0);
-
   result.compiled_bytes =
       plan.route_nodes.size() * sizeof(Node) +
       plan.route_offsets.size() * sizeof(std::uint32_t) +
@@ -144,62 +136,19 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
       plan.release.size() * sizeof(std::uint32_t) +
       uniq.size() * sizeof(std::uint64_t) + dim_of.size() +
       num_links * 3 * sizeof(std::uint32_t) +  // arena head/tail/depth
-      hop.size() * sizeof(std::uint32_t) + num_routes * sizeof(std::uint32_t);
+      num_routes * 2 * sizeof(std::uint32_t);  // arena next + hop counters
 
-  const std::uint32_t* const route_len = plan.route_len.data();
-  const std::uint32_t* const route_off = plan.route_offsets.data();
-  const std::uint32_t* const link_of_hop = plan.link_of_hop.data();
-
-  std::size_t undelivered = 0;
-  const auto enqueue = [&](std::uint32_t id) {
-    arena.push_back(link_of_hop[route_off[id] + hop[id]], id, active);
-  };
-  for (std::uint32_t id = 0; id < num_routes; ++id) {
-    if (route_len[id] == 0) continue;  // direct self-edge; counts delivered
-    ++undelivered;
-    enqueue(id);
-  }
-  result.delivered = num_routes - undelivered;
-
-  {
-    // The sweep: same visit order, FIFO arbitration, canonical ascending
-    // arrival order as the SoA engine (store_forward.cpp), minus faults,
-    // traces, and release staging (phase traffic all releases at step 0).
-    HP_PROFILE_SPAN("steps");
-    std::uint64_t* const dim_tx = result.dim_transmissions.data();
-    int step = 0;
-    while (undelivered > 0) {
-      HP_CHECK(step < spec.max_steps, "simulation exceeded max_steps");
-      moved.clear();
-      std::size_t keep = 0;
-      const std::size_t count = active.size();
-      for (std::size_t r = 0; r < count; ++r) {
-        const std::uint32_t link = active[r];
-        const std::uint32_t depth = arena.depth(link);
-        if (depth > result.max_queue) result.max_queue = depth;
-        const std::uint32_t pick = arena.pop_front(link);
-        ++result.total_transmissions;
-        ++dim_tx[dim_of[link]];
-        moved.push_back(pick);
-        if (!arena.empty(link)) active[keep++] = link;
-      }
-      active.resize(keep);
-
-      simcore::sort_moved(moved, moved_mask);
-      simcore::advance_hops(moved, hop.data());
-      for (const std::uint32_t id : moved) {
-        if (hop[id] == route_len[id]) {
-          --undelivered;
-          ++result.delivered;
-        } else {
-          enqueue(id);
-        }
-      }
-      ++step;
-    }
-    result.makespan = step;
-  }
-
+  // The shared store-and-forward engine, untraced and fault-free (phase
+  // traffic all releases at step 0); only the dimension of a link comes
+  // from the table instead of the dense id's arithmetic.
+  SimResult sim = simcore::run_plan<false, false>(
+      plan, num_links, dims, simcore::TableLinkDim{dim_of.data()}, scratch,
+      Arbitration::kFifo, spec.max_steps, nullptr, nullptr, false, nullptr);
+  result.makespan = sim.makespan;
+  result.delivered = num_routes;  // run_plan returns once every route arrived
+  result.total_transmissions = sim.total_transmissions;
+  result.max_queue = static_cast<std::uint32_t>(sim.max_queue);
+  result.dim_transmissions = std::move(sim.dim_transmissions);
   return result;
 }
 

@@ -18,9 +18,12 @@
 //      the number of *distinct links the traffic touches* (≤ total hops),
 //      not by the host: memory is proportional to the active packet set,
 //      and hosts past the n = 27 dense-id ceiling work unchanged.
-//   3. A serial FIFO sweep (same visit order, arrival sorting, and
-//      one-transmission-per-link-per-step semantics as the SoA engine in
-//      store_forward.cpp) runs the plan to completion.
+//   3. The store-and-forward engine's own step loop (simcore::run_plan in
+//      store_forward.hpp, FIFO, untraced, fault-free) runs the plan to
+//      completion.  The one difference from a StoreForwardSim run is the
+//      per-dimension accounting: a compact id carries no dimension, so the
+//      kernel reads it from a per-link table (simcore::TableLinkDim).
+//      Telemetry sampling comes with the engine.
 //
 // Packet-per-edge scheduling matches phase_packets: the bundle indices
 // are stable-sorted by increasing path length and packet j of an edge
@@ -65,7 +68,8 @@ void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       std::vector<std::uint64_t>& glinks);
 
 /// Compiles `spec.packets_per_edge` packets per demanded guest edge from
-/// the oracle's bundles and runs the FIFO phase sweep to completion.
+/// the oracle's bundles (add_oracle_route per packet) and runs the FIFO
+/// phase to completion on simcore::run_plan.
 OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
                                    std::span<const OracleEdge> edges,
                                    const OraclePhaseSpec& spec = {});

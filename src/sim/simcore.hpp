@@ -1,5 +1,5 @@
-// Flat-arena simulator core shared by the store-and-forward, parallel and
-// wormhole simulators.
+// Flat-arena simulator core shared by the store-and-forward engine and the
+// wormhole simulator.
 //
 // The hypercube's directed links already have a dense id (tail * n + dim,
 // see Hypercube::edge_id), so per-link simulator state needs no hashing:
@@ -22,7 +22,7 @@
 //     held-route set (replacing an unordered_set of link ids).
 //
 //   * RoutePlan — the structure-of-arrays route compilation the step
-//     kernels run on.  Compiled once per run from the packet (or worm) set:
+//     kernel runs on.  Compiled once per run from the packet (or worm) set:
 //     every route's node sequence and per-hop dense link id live in flat
 //     arrays bracketed by route_offsets[], and route_len[]/release[] are
 //     parallel 32-bit arrays.  The step loop never touches a Packet again
@@ -30,11 +30,13 @@
 //     two-array read route_len[id] - hop[id], and an enqueue is the single
 //     load link_of_hop[route_offsets[id] + hop[id]].
 //
-//   * StepScratch — a thread-local, run-scoped scratch arena.  The hot
-//     setup path used to grow fresh std::vectors (moved, release lists,
-//     tracing high-water marks) on every run_impl call, which the
-//     Monte-Carlo campaign engine multiplies by thousands of trials; the
-//     scratch keeps the capacity across runs on the same thread.
+//   * StepScratch — the run-scoped state of the step loop (arena, worklist,
+//     hop counters, release cursor).  StoreForwardSim uses a thread-local
+//     one: the hot setup path used to grow fresh std::vectors on every run,
+//     which the Monte-Carlo campaign engine multiplies by thousands of
+//     trials; the scratch keeps the capacity across runs on the same
+//     thread.  The oracle phase runs on a call-local one, so its
+//     plan-sized state is freed on return.
 //
 // Memory: the arena is O(n·2^n) words per run (three 32-bit words per link,
 // one per packet) — ~12 MiB for Q_16, allocated once per run() and reused
@@ -90,23 +92,21 @@ class LinkFifoArena {
   std::uint32_t depth(std::uint64_t link) const { return depth_[link]; }
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
-  /// link is pushed onto `worklist` — the caller-owned active set (the
-  /// parallel simulator passes its shard's list; the SoA kernel passes a
-  /// 32-bit list, the retained flat-arena path a 64-bit one).  The caller
-  /// must keep the invariant that an empty link is never already on a live
-  /// worklist; the simulators get this for free because stale entries
-  /// (queues emptied by the fault-truncation pass) are compacted away by
-  /// the same step's sweep, before any enqueue runs.
-  template <typename Worklist>
-  void push_back(std::uint64_t link, std::uint32_t id, Worklist& worklist) {
+  /// link is pushed onto `worklist` — the caller-owned active set of 32-bit
+  /// link ids (RoutePlan guarantees links fit).  The caller must keep the
+  /// invariant that an empty link is never already on a live worklist; the
+  /// engine gets this for free because stale entries (queues emptied by the
+  /// fault-truncation pass) are compacted away by the same step's sweep,
+  /// before any enqueue runs.
+  void push_back(std::uint64_t link, std::uint32_t id,
+                 std::vector<std::uint32_t>& worklist) {
     // A queue deeper than the 32-bit id space is impossible (each packet
     // waits in at most one queue); guard the wrap anyway in debug builds.
     assert(depth_[link] != 0xffffffffu && "link queue depth overflow");
     next_[id] = kNil;
     if (head_[link] == kNil) {
       head_[link] = id;
-      worklist.push_back(
-          static_cast<typename Worklist::value_type>(link));
+      worklist.push_back(static_cast<std::uint32_t>(link));
     } else {
       next_[tail_[link]] = id;
     }
@@ -267,17 +267,17 @@ class RoutePlan {
   std::uint32_t stream_release_ = 0;  // release step of the open route
 };
 
-/// Thread-local, run-scoped scratch arena for the SoA step path.  The hot
-/// setup path used to grow fresh vectors (moved, release lists, tracing
-/// high-water marks) on every run_impl call — the Monte-Carlo campaign
-/// engine and the recovery wave loop multiply that by thousands of short
-/// runs on the same pool thread.  Everything here is sized by prepare() and
-/// keeps its capacity across runs; correctness never depends on leftover
-/// contents.
+/// Run-scoped state of the step loop (store_forward.hpp's run_plan).  The
+/// hot setup path used to grow fresh vectors (moved, release lists, tracing
+/// high-water marks) on every run — the Monte-Carlo campaign engine and the
+/// recovery wave loop multiply that by thousands of short runs on the same
+/// pool thread, so StoreForwardSim runs on the thread's step_scratch().
+/// Everything here is sized by run_plan and keeps its capacity across runs;
+/// correctness never depends on leftover contents.
 struct StepScratch {
   RoutePlan plan;
   LinkFifoArena arena{0, 0};
-  std::vector<std::uint32_t> active;  // serial active-link worklist
+  std::vector<std::uint32_t> active;  // active-link worklist
   std::vector<std::uint32_t> moved;   // packets that advanced this step
   /// One bit per packet, all-zero between sweeps: the counting-sort mask
   /// step_kernel.hpp's sort_moved uses to order dense arrival batches.
@@ -295,7 +295,7 @@ struct StepScratch {
 
 /// The calling thread's scratch arena.  Thread-local, so concurrent
 /// Monte-Carlo trials each reuse their own; a simulator run owns it only
-/// for the duration of run_impl (simulators never nest runs on one thread).
+/// for the duration of one run (simulators never nest runs on one thread).
 StepScratch& step_scratch();
 
 }  // namespace hyperpath::simcore

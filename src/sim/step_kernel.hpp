@@ -1,5 +1,6 @@
-// The templated branch-light step-sweep kernel shared by the serial and
-// parallel store-and-forward simulators.
+// The templated branch-light step-sweep kernel of the store-and-forward
+// engine (store_forward.cpp's run_plan — the one step loop, which both
+// StoreForwardSim and the oracle phase run).
 //
 // One sweep serves one worklist of active links: pop one packet per live
 // link, account the transmission, compact the worklist in place.  The two
@@ -27,17 +28,17 @@
 // from the RoutePlan's parallel arrays (route_len[id] - hop[id]) instead of
 // chasing Packet::route.
 //
-// The worklist element type is generic: the serial SoA path and the
-// parallel shards keep 32-bit link ids (RoutePlan guarantees links fit);
-// the retained flat-arena path keeps its original 64-bit lists.
+// The per-dimension transmission counter is indexed through a second
+// functor, the link's dimension: DenseLinkDim (link % n) for plans on
+// Hypercube::edge_id's dense ids; TableLinkDim (a per-link byte table) for
+// the oracle phase's compact plan-local ids, where the modulo would be
+// wrong.
 //
 // Determinism: the sweep visits the worklist in order and emits events in
-// deterministic order per worklist; everything order-sensitive downstream
-// (trace streams, arrivals) is put in canonical order by the callers, so
-// both engines and every shard count produce identical results.  A traced
-// serial run orders its worklist by link first, which makes the sweep's
-// events canonical as emitted (obs/trace.hpp's StepTrace then skips the
-// sort).
+// deterministic order; everything order-sensitive downstream (trace
+// streams, arrivals) is put in canonical order by the caller.  A traced
+// run orders its worklist by link first, which makes the sweep's events
+// canonical as emitted (obs/trace.hpp's StepTrace then skips the sort).
 #pragma once
 
 #include <algorithm>
@@ -58,8 +59,7 @@ struct SweepStats {
   std::uint32_t max_queue = 0;    // deepest queue seen this sweep
 };
 
-/// FIFO arbitration: queue order (arrival time, ties by packet id).  Also
-/// the only policy the parallel shards run.
+/// FIFO arbitration: queue order (arrival time, ties by packet id).
 struct FifoArbiter {
   std::uint32_t operator()(LinkFifoArena& arena, std::uint64_t link) const {
     return arena.pop_front(link);
@@ -79,16 +79,34 @@ struct FarthestFirstArbiter {
   }
 };
 
+/// Dimension of a dense link id (tail·n + dim, Hypercube::edge_id).
+struct DenseLinkDim {
+  std::uint64_t dims;
+
+  std::uint64_t operator()(std::uint64_t link) const { return link % dims; }
+};
+
+/// Dimension of a plan-local link id, read from a per-link table (the
+/// oracle phase's compact renumbering keeps no arithmetic relation between
+/// a local id and its host dimension).
+struct TableLinkDim {
+  const std::uint8_t* dim_of;
+
+  std::uint64_t operator()(std::uint64_t link) const { return dim_of[link]; }
+};
+
 /// Sweeps `worklist` once: per live link records queue statistics, emits
 /// trace events through `emit` (Traced only), pops one packet via
 /// `arbitrate`, appends it to `moved` and compacts the worklist in place so
 /// only still-nonempty links survive.  `highwater` (per-link, Traced only)
-/// and `dim_tx` (per-dimension transmission counters) are caller-owned.
-template <bool Traced, bool Faulted, typename Worklist, typename Arbiter,
+/// and `dim_tx` (per-dimension transmission counters, indexed through
+/// `link_dim`) are caller-owned.
+template <bool Traced, bool Faulted, typename LinkDim, typename Arbiter,
           typename EmitFn>
-inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
+inline SweepStats step_sweep(LinkFifoArena& arena,
+                             std::vector<std::uint32_t>& worklist,
                              std::vector<std::uint32_t>& moved,
-                             std::uint64_t* dim_tx, int dims,
+                             std::uint64_t* dim_tx, LinkDim link_dim,
                              [[maybe_unused]] int step,
                              [[maybe_unused]] std::uint32_t* highwater,
                              Arbiter&& arbitrate,
@@ -116,7 +134,7 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
     }
     const std::uint32_t pick = arbitrate(arena, link);
     ++out.busy;
-    ++dim_tx[link % static_cast<std::uint64_t>(dims)];
+    ++dim_tx[link_dim(link)];
     if constexpr (Traced) {
       emit(TraceEvent{step, TraceEventKind::kTransmit, pick, link, depth});
       if (depth > 1) {
@@ -126,7 +144,7 @@ inline SweepStats step_sweep(LinkFifoArena& arena, Worklist& worklist,
     }
     moved.push_back(pick);
     if (!arena.empty(link)) {
-      worklist[keep++] = static_cast<typename Worklist::value_type>(link);
+      worklist[keep++] = static_cast<std::uint32_t>(link);
     }
   }
   worklist.resize(keep);

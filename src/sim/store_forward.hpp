@@ -18,6 +18,13 @@
 // truncated at the break point (kDrop, value = hops completed).  The
 // per-packet outcome is reported in FaultRunResult::fates; the recovery
 // engine (recovery.hpp) builds sender-side retransmission on top.
+//
+// This is the one store-and-forward step loop of the library (the map-based
+// reference_sim.hpp is the test spec it is checked against).  A run is a
+// thin front — compile the packets into the thread's scratch RoutePlan —
+// and simcore::run_plan, the body every caller shares: the oracle phase
+// (oracle_sim.hpp) compiles its plan straight from a PathOracle and runs
+// the same body, untraced and fault-free.
 #pragma once
 
 #include "obs/trace.hpp"
@@ -29,16 +36,15 @@ enum class Arbitration { kFifo, kFarthestFirst };
 
 class FaultSchedule;
 
+namespace simcore {
+class RoutePlan;
+struct StepScratch;
+}  // namespace simcore
+
 class StoreForwardSim {
  public:
-  /// Simulates on Q_dims.  `engine` selects the step-sweep implementation:
-  /// the default SoA route-plan kernel, or the retained flat-arena loop
-  /// (SimEngine::kFlatArena) kept as the honest baseline for the
-  /// bench_simcore S4 speedup table.  Both are bit-identical in results and
-  /// trace streams; the property suites enforce it.
-  explicit StoreForwardSim(int dims, SimEngine engine = SimEngine::kSoa);
-
-  SimEngine engine() const { return engine_; }
+  /// Simulates on Q_dims.
+  explicit StoreForwardSim(int dims);
 
   /// Runs the packet set to completion and returns the measured result.
   /// Throws if any route is invalid or the simulation exceeds `max_steps`.
@@ -68,15 +74,27 @@ class StoreForwardSim {
                      const FaultSchedule* schedule, bool announce_faults,
                      FaultRunResult* fault_out) const;
 
-  /// The pre-RoutePlan sweep, retained verbatim (SimEngine::kFlatArena).
-  SimResult run_flat_impl(const std::vector<Packet>& packets,
-                          Arbitration policy, int max_steps,
-                          obs::TraceSink* sink, const FaultSchedule* schedule,
-                          bool announce_faults,
-                          FaultRunResult* fault_out) const;
-
   Hypercube host_;
-  SimEngine engine_;
 };
+
+namespace simcore {
+
+/// The store-and-forward step loop: runs an already-compiled plan to
+/// completion (every route delivered or, with a schedule, lost).  Link ids
+/// in `plan` index `num_links` per-link queues; `link_dim` maps a link id
+/// to its host dimension for SimResult::dim_transmissions (`dims` entries)
+/// — step_kernel.hpp's DenseLinkDim for Hypercube::edge_id ids,
+/// TableLinkDim for the oracle phase's compact ids.  All per-run state
+/// lives in `scratch`; `plan` may be scratch.plan.  Instantiated in
+/// store_forward.cpp for DenseLinkDim (every Traced × Faulted shape) and
+/// for untraced, fault-free TableLinkDim.
+template <bool Traced, bool Faulted, typename LinkDim>
+SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
+                   LinkDim link_dim, StepScratch& scratch,
+                   Arbitration policy, int max_steps, obs::TraceSink* sink,
+                   const FaultSchedule* schedule, bool announce_faults,
+                   FaultRunResult* fault_out);
+
+}  // namespace simcore
 
 }  // namespace hyperpath

@@ -18,7 +18,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/json_parse.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/recovery.hpp"
 #include "sim/store_forward.hpp"
@@ -251,26 +250,6 @@ TEST(FlightCompleteness, SerialStoreForwardPhase) {
   EXPECT_EQ(a.depth_mismatches, 0u);
 }
 
-TEST(FlightCompleteness, ParallelStoreForwardAcrossThreadCounts) {
-  const int n = 8;
-  const auto emb = theorem1_cycle_embedding(n);
-  const auto packets = phase_packets(emb, 2 * n);
-  const auto serial = StoreForwardSim(n).run(packets);
-  for (int threads : {1, 2, 8}) {
-    FlightRecorder rec;
-    const auto r =
-        ParallelStoreForwardSim(n, threads).run(packets, 1 << 22, &rec);
-    const auto a = obs::analyze_flights(rec);
-    EXPECT_EQ(a.makespan, serial.makespan) << threads;
-    EXPECT_EQ(a.makespan, r.makespan) << threads;
-    EXPECT_EQ(a.delivered, r.latency.count()) << threads;
-    EXPECT_EQ(a.transmissions, serial.total_transmissions) << threads;
-    EXPECT_EQ(a.inconsistencies, 0u) << threads;
-    EXPECT_EQ(a.depth_mismatches, 0u) << threads;
-    EXPECT_EQ(a.critical_path.length(), a.makespan) << threads;
-  }
-}
-
 TEST(FlightCompleteness, FaultReplayRun) {
   const int n = 6;
   const auto emb = theorem1_cycle_embedding(n);
@@ -294,7 +273,7 @@ TEST(FlightCompleteness, FaultReplayRun) {
   EXPECT_EQ(a.depth_mismatches, 0u);
 }
 
-TEST(FlightCompleteness, RecoveryRunAcrossThreadCounts) {
+TEST(FlightCompleteness, RecoveryRun) {
   const int n = 6;
   const auto emb = theorem1_cycle_embedding(n);
   FaultSchedule schedule(n);
@@ -306,32 +285,17 @@ TEST(FlightCompleteness, RecoveryRunAcrossThreadCounts) {
   cfg.max_retries = 4;
   cfg.threshold = 0;  // all fragments required: every loss retransmits
 
-  FlightRecorder serial_rec;
-  const auto serial = run_recovery(emb, schedule, cfg, &serial_rec);
-  ASSERT_GT(serial.retransmissions, 0u);
-  const auto sa = obs::analyze_flights(serial_rec);
-  EXPECT_EQ(sa.makespan, serial.makespan);
-  EXPECT_EQ(sa.delivered, serial.fragments_delivered);
-  EXPECT_EQ(sa.dropped, serial.fragments_lost);
-  EXPECT_EQ(sa.retransmissions, serial.retransmissions);
-  EXPECT_EQ(sa.transmissions, serial.total_transmissions);
-  EXPECT_EQ(sa.inconsistencies, 0u);
-  EXPECT_EQ(sa.depth_mismatches, 0u);
-
-  for (int threads : {1, 2, 8}) {
-    RecoveryConfig pc = cfg;
-    pc.parallel = true;
-    pc.threads = threads;
-    FlightRecorder rec;
-    const auto r = run_recovery(emb, schedule, pc, &rec);
-    const auto a = obs::analyze_flights(rec);
-    EXPECT_EQ(r.makespan, serial.makespan) << threads;
-    EXPECT_EQ(a.makespan, sa.makespan) << threads;
-    EXPECT_EQ(a.delivered, sa.delivered) << threads;
-    EXPECT_EQ(a.dropped, sa.dropped) << threads;
-    EXPECT_EQ(a.retransmissions, sa.retransmissions) << threads;
-    EXPECT_EQ(rec.events_seen(), serial_rec.events_seen()) << threads;
-  }
+  FlightRecorder rec;
+  const auto r = run_recovery(emb, schedule, cfg, &rec);
+  ASSERT_GT(r.retransmissions, 0u);
+  const auto a = obs::analyze_flights(rec);
+  EXPECT_EQ(a.makespan, r.makespan);
+  EXPECT_EQ(a.delivered, r.fragments_delivered);
+  EXPECT_EQ(a.dropped, r.fragments_lost);
+  EXPECT_EQ(a.retransmissions, r.retransmissions);
+  EXPECT_EQ(a.transmissions, r.total_transmissions);
+  EXPECT_EQ(a.inconsistencies, 0u);
+  EXPECT_EQ(a.depth_mismatches, 0u);
 }
 
 TEST(FlightCompleteness, WormholeRun) {

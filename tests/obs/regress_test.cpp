@@ -159,6 +159,31 @@ TEST(Regress, MissingAndNewReportsAreNotRegressions) {
   EXPECT_GE(added, 1u);    // brand_new appeared
 }
 
+TEST(Regress, VanishedMetricOfAPresentReportRegresses) {
+  // theorem1 is still reported, but without paper_claimed_cost: a deleted
+  // gated metric must trip the gate, not pass as merely "missing".
+  auto cur = suite(R"({
+    "reports": {
+      "theorem1": {"experiment": "theorem1",
+                   "metrics": {"worst_phase_cost": 3}},
+      "theorem2": {"experiment": "theorem2",
+                   "metrics": {"worst_phase_cost": 3}}
+    }
+  })");
+  const auto result = compare_suites(cur, suite(kBaseline));
+  EXPECT_FALSE(result.pass());
+  EXPECT_EQ(result.regressions(), 1u);
+  std::size_t vanished = 0;
+  for (const auto& d : result.deltas) {
+    if (d.kind != DeltaKind::kVanished) continue;
+    ++vanished;
+    EXPECT_EQ(d.report, "theorem1");
+    EXPECT_EQ(d.key, "paper_claimed_cost");
+    EXPECT_EQ(d.baseline, 3);
+  }
+  EXPECT_EQ(vanished, 1u);
+}
+
 TEST(Regress, BareReportActsAsOneReportSuite) {
   auto bare = suite(R"({
     "experiment": "theorem2", "metrics": {"worst_phase_cost": 3}

@@ -1,7 +1,7 @@
 // Tests for the live telemetry bus (obs/telemetry.hpp): sampling gate,
 // ring-buffer retention, JSONL stream round-trip with its provenance
-// header, serial/parallel sampling equivalence, Prometheus exposition
-// validity, and the in-tree promtool-shaped validator itself.
+// header, Prometheus exposition validity, and the in-tree promtool-shaped
+// validator itself.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 
@@ -178,37 +177,6 @@ TEST(Telemetry, JsonlStreamRoundTripsHeaderAndSamples) {
   EXPECT_FALSE(reader.failed());
 
   std::remove(path.c_str());
-}
-
-TEST(Telemetry, SerialAndParallelSimulatorsSampleIdentically) {
-  // The parallel simulator builds its per-sample gauges shard by shard and
-  // merges the depth histograms; the multiset of (link, depth) it sees is
-  // the serial simulator's, so the SimTelemetry streams must be equal.
-  const auto emb = theorem1_cycle_embedding(8);
-  const auto packets = phase_packets(emb, 4);
-  const int dims = emb.host().dims();
-
-  TelemetryBus& bus = TelemetryBus::global();
-  TelemetryBus::Config cfg;
-  cfg.period_steps = 1;
-
-  bus.enable(cfg);
-  StoreForwardSim(dims).run(packets);
-  const std::vector<TelemetrySample> serial = bus.snapshot();
-  bus.disable();
-  ASSERT_FALSE(serial.empty());
-
-  for (int threads : {2, 3, 8}) {
-    bus.enable(cfg);
-    ParallelStoreForwardSim(dims, threads).run(packets);
-    const std::vector<TelemetrySample> par = bus.snapshot();
-    bus.disable();
-    ASSERT_EQ(par.size(), serial.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < par.size(); ++i) {
-      EXPECT_EQ(par[i].sim, serial[i].sim)
-          << "threads=" << threads << " sample " << i;
-    }
-  }
 }
 
 TEST(Telemetry, ExposePrometheusPassesTheValidator) {

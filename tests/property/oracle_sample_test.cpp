@@ -97,7 +97,6 @@ TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
 /// measurements exactly when both can run: renumbering links is a
 /// bijection, so queue dynamics are unchanged.
 TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
-  const int p = 5;
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const MaterializedOracle mat(emb);
   const auto alg = algebraic_theorem1_oracle(8);
@@ -109,27 +108,36 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
     }
   }
 
-  OraclePhaseSpec spec;
-  spec.packets_per_edge = p;
-  const OraclePhaseResult from_alg = run_oracle_phase(*alg, edges, spec);
-  const OraclePhaseResult from_mat = run_oracle_phase(mat, edges, spec);
-  EXPECT_EQ(from_alg.makespan, from_mat.makespan);
-  EXPECT_EQ(from_alg.total_transmissions, from_mat.total_transmissions);
-  EXPECT_EQ(from_alg.peak_congestion, from_mat.peak_congestion);
-  EXPECT_EQ(from_alg.max_queue, from_mat.max_queue);
-  EXPECT_EQ(from_alg.unique_links, from_mat.unique_links);
-  EXPECT_EQ(from_alg.dim_transmissions, from_mat.dim_transmissions);
+  // p = 5 runs one packet per bundle path.  p = 12 stacks packets on
+  // links, so queueing order shows: there FIFO peaks at depth 4 where
+  // farthest-first would reach 5.
+  for (const int p : {5, 12}) {
+    SCOPED_TRACE(p);
+    OraclePhaseSpec spec;
+    spec.packets_per_edge = p;
+    const OraclePhaseResult from_alg = run_oracle_phase(*alg, edges, spec);
+    const OraclePhaseResult from_mat = run_oracle_phase(mat, edges, spec);
+    EXPECT_EQ(from_alg.makespan, from_mat.makespan);
+    EXPECT_EQ(from_alg.total_transmissions, from_mat.total_transmissions);
+    EXPECT_EQ(from_alg.peak_congestion, from_mat.peak_congestion);
+    EXPECT_EQ(from_alg.max_queue, from_mat.max_queue);
+    EXPECT_EQ(from_alg.unique_links, from_mat.unique_links);
+    EXPECT_EQ(from_alg.dim_transmissions, from_mat.dim_transmissions);
+    if (p == 12) {
+      EXPECT_GT(from_alg.max_queue, 1u);
+    }
 
-  // Same dynamics as the classic dense-link pipeline.
-  const StoreForwardSim sim(emb.host().dims());
-  const SimResult classic = sim.run(phase_packets(emb, p));
-  EXPECT_EQ(from_alg.makespan, classic.makespan);
-  EXPECT_EQ(from_alg.total_transmissions, classic.total_transmissions);
-  EXPECT_EQ(from_alg.max_queue,
-            static_cast<std::uint32_t>(classic.max_queue));
-  EXPECT_EQ(from_alg.dim_transmissions, classic.dim_transmissions);
-  EXPECT_EQ(from_alg.delivered,
-            static_cast<std::uint64_t>(edges.size()) * p);
+    // Same dynamics as the classic dense-link pipeline.
+    const StoreForwardSim sim(emb.host().dims());
+    const SimResult classic = sim.run(phase_packets(emb, p));
+    EXPECT_EQ(from_alg.makespan, classic.makespan);
+    EXPECT_EQ(from_alg.total_transmissions, classic.total_transmissions);
+    EXPECT_EQ(from_alg.max_queue,
+              static_cast<std::uint32_t>(classic.max_queue));
+    EXPECT_EQ(from_alg.dim_transmissions, classic.dim_transmissions);
+    EXPECT_EQ(from_alg.delivered,
+              static_cast<std::uint64_t>(edges.size()) * p);
+  }
 }
 
 /// Q_24 end to end from the algebraic backend: every packet delivered and

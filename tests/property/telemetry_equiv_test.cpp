@@ -1,22 +1,22 @@
 // Determinism contract of the telemetry bus (obs/telemetry.hpp): turning
-// sampling on, at ANY period and thread count, must leave simulation
-// results and trace streams bit-identical to a run with telemetry off.
-// The sampler rides the step counter and only reads simulator state, so
-// this holds by construction — these tests are the license to keep the
-// sampling hooks inside the hot loops.  Periods {1, 7, 64} cover every
-// step, a period coprime to the workload's natural cadence, and the
-// default; thread counts {1, 2, 8} cover the serial path and both light
-// and oversubscribed sharding.
+// sampling on, at ANY period, must leave simulation results and trace
+// streams bit-identical to a run with telemetry off.  The sampler rides
+// the step counter and only reads simulator state, so this holds by
+// construction — these tests are the license to keep the sampling hooks
+// inside the hot loop.  Periods {1, 7, 64} cover every step, a period
+// coprime to the workload's natural cadence, and the default.  The oracle
+// phase runs the same step loop, so it inherits the contract.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "base/rng.hpp"
+#include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
+#include "sim/oracle_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 #include "sim/workloads.hpp"
@@ -28,7 +28,6 @@ using obs::RingBufferSink;
 using obs::TelemetryBus;
 
 const int kPeriods[] = {1, 7, 64};
-const int kThreadCounts[] = {1, 2, 8};
 
 void expect_same_result(const SimResult& a, const SimResult& b,
                         const std::string& label) {
@@ -73,46 +72,30 @@ TEST(TelemetryEquivalence, ResultsAndTracesBitIdenticalAcrossPeriods) {
   TelemetryBus& bus = TelemetryBus::global();
   bus.disable();
 
-  for (int threads : kThreadCounts) {
-    // Baseline with telemetry off.
-    RingBufferSink base_sink;
-    SimResult base;
-    if (threads == 1) {
-      base = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
-                                       &base_sink);
-    } else {
-      base = ParallelStoreForwardSim(dims, threads)
-                 .run(packets, 1 << 22, &base_sink);
-    }
+  // Baseline with telemetry off.
+  RingBufferSink base_sink;
+  const SimResult base = StoreForwardSim(dims).run(
+      packets, Arbitration::kFifo, 1 << 22, &base_sink);
 
-    for (int period : kPeriods) {
-      const std::string label =
-          "threads=" + std::to_string(threads) +
-          " period=" + std::to_string(period);
-      TelemetryBus::Config cfg;
-      cfg.period_steps = period;
-      bus.enable(cfg);
-      RingBufferSink sink;
-      SimResult got;
-      if (threads == 1) {
-        got = StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22,
-                                        &sink);
-      } else {
-        got = ParallelStoreForwardSim(dims, threads)
-                  .run(packets, 1 << 22, &sink);
-      }
-      const std::uint64_t samples = bus.total_samples();
-      bus.disable();
+  for (int period : kPeriods) {
+    const std::string label = "period=" + std::to_string(period);
+    TelemetryBus::Config cfg;
+    cfg.period_steps = period;
+    bus.enable(cfg);
+    RingBufferSink sink;
+    const SimResult got =
+        StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22, &sink);
+    const std::uint64_t samples = bus.total_samples();
+    bus.disable();
 
-      expect_same_result(got, base, label);
-      expect_same_trace(sink, base_sink, label);
-      // The run must actually have been observed: one sample per period
-      // boundary reached, starting at step 0.
-      EXPECT_EQ(samples,
-                static_cast<std::uint64_t>((base.makespan + period - 1) /
-                                           period))
-          << label;
-    }
+    expect_same_result(got, base, label);
+    expect_same_trace(sink, base_sink, label);
+    // The run must actually have been observed: one sample per period
+    // boundary reached, starting at step 0.
+    EXPECT_EQ(samples,
+              static_cast<std::uint64_t>((base.makespan + period - 1) /
+                                         period))
+        << label;
   }
 }
 
@@ -148,22 +131,42 @@ TEST(TelemetryEquivalence, FaultReplayUnchangedByTelemetry) {
     EXPECT_EQ(got.lost, base.lost) << label;
     expect_same_trace(sink, base_sink, label);
   }
+}
 
-  // And the parallel fault path, telemetry on at every step.
-  for (int threads : {2, 8}) {
-    const std::string label = "par threads=" + std::to_string(threads);
-    TelemetryBus::Config cfg;
-    cfg.period_steps = 1;
-    bus.enable(cfg);
-    RingBufferSink sink;
-    const FaultRunResult got = ParallelStoreForwardSim(dims, threads)
-                                   .run_with_faults(packets, sched, 1 << 22,
-                                                    &sink);
-    bus.disable();
-    expect_same_result(got.sim, base.sim, label);
-    EXPECT_EQ(got.fates, base.fates) << label;
-    expect_same_trace(sink, base_sink, label);
+TEST(TelemetryEquivalence, OraclePhaseUnchangedByTelemetry) {
+  // run_oracle_phase runs the engine's step loop, so the bus samples it
+  // too; sampling at every step must not move a single result field.
+  const auto oracle = algebraic_theorem1_oracle(8);
+  std::vector<OracleEdge> edges;
+  for (OracleId g = 0; g < oracle->guest_nodes(); ++g) {
+    for (int s = 0; s < oracle->out_degree(g); ++s) {
+      edges.push_back(oracle->out_edge(g, s));
+    }
   }
+  OraclePhaseSpec spec;
+  spec.packets_per_edge = 16;
+
+  TelemetryBus& bus = TelemetryBus::global();
+  bus.disable();
+  const OraclePhaseResult base = run_oracle_phase(*oracle, edges, spec);
+
+  TelemetryBus::Config cfg;
+  cfg.period_steps = 1;
+  bus.enable(cfg);
+  const OraclePhaseResult got = run_oracle_phase(*oracle, edges, spec);
+  const std::uint64_t samples = bus.total_samples();
+  bus.disable();
+
+  EXPECT_EQ(samples, static_cast<std::uint64_t>(base.makespan));
+  EXPECT_EQ(got.makespan, base.makespan);
+  EXPECT_EQ(got.delivered, base.delivered);
+  EXPECT_EQ(got.total_transmissions, base.total_transmissions);
+  EXPECT_EQ(got.peak_congestion, base.peak_congestion);
+  EXPECT_EQ(got.max_queue, base.max_queue);
+  EXPECT_EQ(got.unique_links, base.unique_links);
+  EXPECT_EQ(got.route_nodes, base.route_nodes);
+  EXPECT_EQ(got.compiled_bytes, base.compiled_bytes);
+  EXPECT_EQ(got.dim_transmissions, base.dim_transmissions);
 }
 
 }  // namespace

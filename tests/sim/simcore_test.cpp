@@ -27,7 +27,7 @@ using simcore::LinkFifoArena;
 
 TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
   LinkFifoArena arena(8, 16);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   EXPECT_TRUE(arena.empty(3));
 
   arena.push_back(3, 10, work);
@@ -35,7 +35,7 @@ TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
   arena.push_back(5, 12, work);
   arena.push_back(3, 13, work);
   // Only empty->nonempty transitions register the link.
-  EXPECT_EQ(work, (std::vector<std::uint64_t>{3, 5}));
+  EXPECT_EQ(work, (std::vector<std::uint32_t>{3, 5}));
   EXPECT_EQ(arena.depth(3), 3u);
   EXPECT_EQ(arena.depth(5), 1u);
 
@@ -54,7 +54,7 @@ TEST(LinkFifoArena, FifoOrderAndWorklistRegistration) {
 
 TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
   LinkFifoArena arena(4, 8);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   // keys: id 0 -> 2, id 1 -> 5, id 2 -> 5, id 3 -> 1
   const std::vector<int> key = {2, 5, 5, 1};
   for (std::uint32_t id = 0; id < 4; ++id) arena.push_back(1, id, work);
@@ -74,7 +74,7 @@ TEST(LinkFifoArena, PopMaxPrefersEarliestOnTies) {
 
 TEST(LinkFifoArena, ClearLinkEmptiesInConstantTime) {
   LinkFifoArena arena(4, 8);
-  std::vector<std::uint64_t> work;
+  std::vector<std::uint32_t> work;
   for (std::uint32_t id = 0; id < 5; ++id) arena.push_back(2, id, work);
   arena.clear_link(2);
   EXPECT_TRUE(arena.empty(2));
@@ -176,10 +176,12 @@ TEST(ActiveSetRegression, DroppedQueuesLeaveNoLingeringCost) {
 
   const auto r = StoreForwardSim(dims).run_with_faults(packets, sched);
   EXPECT_EQ(r.lost, static_cast<std::size_t>(pile) - 2);  // 2 escaped first
-  // Visits: the pile link for steps 0..2 (the step-2 entry is the stale
-  // one the drop pass emptied), the two escaped packets' second hops, and
-  // the walker's tail — far below pile * walk_hops.
-  EXPECT_LT(r.sim.link_visits, static_cast<std::uint64_t>(pile));
+  // Visits, exactly: the pile link for steps 0..2 (the step-2 entry is the
+  // stale one the drop pass emptied, and it still counts), the two escaped
+  // packets' second hops, and one per step of the walker's tail — far
+  // below pile * walk_hops.
+  EXPECT_EQ(r.sim.link_visits,
+            3u + 2u + static_cast<std::uint64_t>(walk_hops));
   EXPECT_EQ(r.sim.makespan, 3 + walk_hops);
 }
 

@@ -115,5 +115,23 @@ TEST(StoreForward, DeterministicAcrossRuns) {
   EXPECT_EQ(a.utilization, b.utilization);
 }
 
+TEST(StoreForward, StampsElapsedTimeAndThroughput) {
+  // Throughput is first-class but never part of the determinism contract:
+  // every run stamps it, and no equivalence check compares it.
+  StoreForwardSim sim(4);
+  std::vector<Packet> ps;
+  for (Node v = 0; v < 16; ++v) {
+    Packet p;
+    p.route = {v, v ^ 1u, v ^ 3u};
+    ps.push_back(p);
+  }
+  for (const Arbitration policy :
+       {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+    const auto r = sim.run(ps, policy);
+    EXPECT_GT(r.elapsed_seconds, 0.0);
+    EXPECT_GT(r.packet_steps_per_sec(), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace hyperpath

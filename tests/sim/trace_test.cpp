@@ -18,7 +18,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "sim/faults.hpp"
-#include "sim/parallel_sim.hpp"
 #include "sim/phase.hpp"
 #include "sim/recovery.hpp"
 #include "sim/store_forward.hpp"
@@ -224,41 +223,6 @@ TEST(TracedStoreForward, TracingDoesNotPerturbResults) {
   const auto traced = sim.run(packets, Arbitration::kFifo, 1 << 22, &sink);
   expect_identical(plain, traced);
   EXPECT_GT(sink.total(), 0u);
-}
-
-TEST(TracedParallelSim, BitIdenticalToSerialWithTracing) {
-  const int n = 8;
-  const auto emb = theorem1_cycle_embedding(n);
-  const auto packets = phase_packets(emb, 2 * n);
-
-  RingBufferSink serial_sink;
-  const auto serial =
-      StoreForwardSim(n).run(packets, Arbitration::kFifo, 1 << 22,
-                             &serial_sink);
-  for (int threads : {2, 3, 8}) {
-    RingBufferSink par_sink;
-    const auto par = ParallelStoreForwardSim(n, threads).run(
-        packets, 1 << 22, &par_sink);
-    expect_identical(serial, par);
-    // The canonical per-step sort makes the streams equal as sequences,
-    // which subsumes multiset equality.
-    ASSERT_EQ(serial_sink.events().size(), par_sink.events().size());
-    EXPECT_TRUE(serial_sink.events() == par_sink.events());
-  }
-}
-
-TEST(TracedParallelSim, RandomWorkloadTracesMatchSerial) {
-  const int dims = 6;
-  for (std::uint64_t seed : {4ull, 5ull}) {
-    const auto packets = random_workload(dims, 400, seed);
-    RingBufferSink a, b;
-    const auto serial =
-        StoreForwardSim(dims).run(packets, Arbitration::kFifo, 1 << 22, &a);
-    const auto par =
-        ParallelStoreForwardSim(dims, 4).run(packets, 1 << 22, &b);
-    expect_identical(serial, par);
-    EXPECT_TRUE(a.events() == b.events());
-  }
 }
 
 TEST(TracedWormhole, EmitsStartDoneAndTransmits) {

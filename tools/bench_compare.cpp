@@ -5,7 +5,9 @@
 //                 [--report-only]
 //
 // Deterministic metrics gate at --metric-tol (default 0: exact — any
-// deviation in either direction is a regression).  Wall-clock timings are
+// deviation in either direction is a regression, and so is a metric that
+// vanished from a report the current suite still has; a whole report
+// absent from CURRENT is only counted as missing).  Wall-clock timings are
 // skipped unless --timing-tol is given; then only slower regresses.
 // Prints a human table plus one machine-readable verdict line:
 //
