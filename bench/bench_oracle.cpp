@@ -13,7 +13,8 @@
 //   O3 — a Q_24 store-and-forward phase runs end to end from the algebraic
 //        backend alone, every packet delivered, measured peak congestion
 //        at or above the analytic floor (core/lower_bounds), inside a
-//        2 GiB RSS budget.
+//        2 GiB RSS budget.  The phase's compile / renumber / steps split
+//        comes from run_oracle_phase's own profiler spans.
 //
 // Metric discipline: everything in the metrics section is a deterministic
 // algorithmic output (digests, counts, makespans, gate booleans) held to
@@ -257,14 +258,39 @@ void print_ttfr_table(bench::Report& report) {
   report.table(t);
 }
 
+/// Wall seconds the profiler holds for run_oracle_phase's stages: the
+/// "compile", "renumber" and "steps" children of every "sim/oracle_phase"
+/// span, summed.
+struct PhaseStages {
+  double compile = 0, renumber = 0, steps = 0;
+};
+
+PhaseStages oracle_phase_stages() {
+  PhaseStages s;
+  int phase_depth = -1;  // depth of the enclosing phase span, -1 outside
+  for (const obs::Profiler::NodeView& n : obs::Profiler::global().nodes()) {
+    if (n.depth <= phase_depth) phase_depth = -1;
+    if (n.name == "sim/oracle_phase") {
+      phase_depth = n.depth;
+    } else if (phase_depth >= 0 && n.depth == phase_depth + 1) {
+      if (n.name == "compile") s.compile += n.wall_seconds;
+      if (n.name == "renumber") s.renumber += n.wall_seconds;
+      if (n.name == "steps") s.steps += n.wall_seconds;
+    }
+  }
+  return s;
+}
+
 // O3: the acceptance workload — a Q_24 phase end to end from the algebraic
 // backend, measured congestion gated against the analytic floor, inside a
-// 2 GiB RSS budget.
+// 2 GiB RSS budget.  The profiler splits the phase into its layers.
 void print_q24_phase_table(bench::Report& report) {
   bench::Table t("O3: Q_24 phase from the algebraic backend",
                  {"edges", "p", "packets", "makespan", "peak", "floor",
-                  "links", "plan MB", "peak MB", "sim s"});
+                  "links", "plan MB", "peak MB", "sim s", "compile s",
+                  "renumber s", "steps s"});
   auto& reg = obs::MetricsRegistry::global();
+  obs::Profiler::global().set_enabled(true);
 
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const auto edges = sample_guest_edges(*oracle, 50000, 7);
@@ -275,11 +301,16 @@ void print_q24_phase_table(bench::Report& report) {
   OraclePhaseResult r;
   double s_sim = 0.0;
   std::optional<std::uint64_t> rise_kb;
+  const PhaseStages before = oracle_phase_stages();
   {
     const obs::PeakRssStage stage;
     s_sim = seconds_of([&] { r = run_oracle_phase(*oracle, edges, spec); });
     rise_kb = stage.rise_kb();
   }
+  const PhaseStages after = oracle_phase_stages();
+  const double s_compile = after.compile - before.compile;
+  const double s_renumber = after.renumber - before.renumber;
+  const double s_steps = after.steps - before.steps;
   const OraclePhaseFloor floor = oracle_phase_floor(*oracle, edges, p);
 
   const std::uint64_t expect =
@@ -306,7 +337,7 @@ void print_q24_phase_table(bench::Report& report) {
 
   t.row(edges.size(), p, expect, r.makespan, r.peak_congestion, floor.floor,
         r.unique_links, static_cast<double>(r.compiled_bytes) / 1048576.0,
-        rss_cell(kb_to_mb(rise_kb)), s_sim);
+        rss_cell(kb_to_mb(rise_kb)), s_sim, s_compile, s_renumber, s_steps);
   report.metric("q24_makespan", r.makespan);
   report.metric("q24_delivered", r.delivered);
   report.metric("q24_transmissions", r.total_transmissions);
@@ -317,6 +348,9 @@ void print_q24_phase_table(bench::Report& report) {
   report.metric("q24_compiled_bytes", r.compiled_bytes);
   report.metric("q24_congestion_gate", 1);
   reg.record_span("q24_phase_sim", s_sim);
+  reg.record_span("q24_compile_s", s_compile);
+  reg.record_span("q24_renumber_s", s_renumber);
+  reg.record_span("q24_steps_s", s_steps);
   if (gate == obs::RssGate::kWithin) {
     report.metric("q24_rss_gate_2gib", 1);
     reg.record_span("q24_phase_rss_kb", static_cast<double>(*rise_kb));

@@ -188,13 +188,18 @@ class GridOracle final : public PathOracle {
     const int k = spec_.num_axes();
     bits_.resize(k);
     offset_.resize(k);
+    stride_.resize(k);
     axes_.reserve(k);
     for (int a = 0; a < k; ++a) {
       bits_[a] = ceil_log2(spec_.sides[a]);
       axes_.emplace_back(bits_[a]);
     }
     offset_[k - 1] = 0;
-    for (int a = k - 1; a-- > 0;) offset_[a] = offset_[a + 1] + bits_[a + 1];
+    stride_[k - 1] = 1;
+    for (int a = k - 1; a-- > 0;) {
+      offset_[a] = offset_[a + 1] + bits_[a + 1];
+      stride_[a] = stride_[a + 1] * spec_.sides[a + 1];
+    }
     total_ = offset_[0] + bits_[0];
     num_edges_ = 0;
     for (int a = 0; a < k; ++a) {
@@ -209,39 +214,41 @@ class GridOracle final : public PathOracle {
   OracleId guest_edges() const override { return num_edges_; }
 
   Node host_of(OracleId guest) const override {
-    const auto coords =
-        spec_.coords(checked_u32(guest, "guest node id exceeds 32 bits"));
+    const Node v = checked_u32(guest, "guest node id exceeds 32 bits");
     Node addr = 0;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      addr |= axes_[a].eta(coords[a]) << offset_[a];
+      addr |= axes_[a].eta(coord(v, a)) << offset_[a];
     }
     return addr;
   }
 
   int out_degree(OracleId guest) const override {
-    const auto coords =
-        spec_.coords(checked_u32(guest, "guest node id exceeds 32 bits"));
+    const Node v = checked_u32(guest, "guest node id exceeds 32 bits");
     int deg = 0;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      if (spec_.wrap || coords[a] + 1 < spec_.sides[a]) ++deg;
+      if (spec_.wrap || coord(v, a) + 1 < spec_.sides[a]) ++deg;
     }
     return deg;
   }
 
   OracleEdge out_edge(OracleId guest, int slot) const override {
     const Node from = checked_u32(guest, "guest node id exceeds 32 bits");
-    auto coords = spec_.coords(from);
     // Successor along each live axis, in ascending target order (Digraph
     // storage order).  At most 5 axes fit in 30 host bits, so the sort is
     // a handful of comparisons.
+    Node coords[30];
     Node targets[30];
     int deg = 0;
+    Node index = 0;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      if (!spec_.wrap && coords[a] + 1 >= spec_.sides[a]) continue;
+      coords[a] = coord(from, a);
+      index += coords[a] * stride_[a];
+    }
+    for (int a = 0; a < spec_.num_axes(); ++a) {
       const Node c = coords[a];
-      coords[a] = (c + 1) % spec_.sides[a];
-      targets[deg++] = spec_.index(coords);
-      coords[a] = c;
+      if (!spec_.wrap && c + 1 >= spec_.sides[a]) continue;
+      targets[deg++] =
+          index - c * stride_[a] + (c + 1) % spec_.sides[a] * stride_[a];
     }
     HP_CHECK(slot >= 0 && slot < deg, "out-edge slot out of range");
     std::sort(targets, targets + deg);
@@ -259,8 +266,7 @@ class GridOracle final : public PathOracle {
   void path(const OracleEdge& edge, int index,
             NodeSink& sink) const override {
     const int a = edge_axis(edge);
-    const Node from_coord =
-        spec_.coords(static_cast<Node>(edge.from))[static_cast<std::size_t>(a)];
+    const Node from_coord = coord(static_cast<Node>(edge.from), a);
     const Node axis_mask =
         static_cast<Node>((pow2(bits_[a]) - 1) << offset_[a]);
     const Node fixed = host_of(edge.from) & ~axis_mask;
@@ -280,16 +286,16 @@ class GridOracle final : public PathOracle {
   /// The single axis the edge advances (+1, or the torus wrap); throws if
   /// the pair is not a grid edge.
   int edge_axis(const OracleEdge& edge) const {
-    const auto cf =
-        spec_.coords(checked_u32(edge.from, "guest node id exceeds 32 bits"));
-    const auto ct =
-        spec_.coords(checked_u32(edge.to, "guest node id exceeds 32 bits"));
+    const Node from = checked_u32(edge.from, "guest node id exceeds 32 bits");
+    const Node to = checked_u32(edge.to, "guest node id exceeds 32 bits");
     int axis = -1;
     for (int a = 0; a < spec_.num_axes(); ++a) {
-      if (cf[a] == ct[a]) continue;
+      const Node cf = coord(from, a);
+      const Node ct = coord(to, a);
+      if (cf == ct) continue;
       HP_CHECK(axis < 0, "no such guest edge (changes two axes)");
-      HP_CHECK(ct[a] == (cf[a] + 1) % spec_.sides[a] &&
-                   (spec_.wrap || cf[a] + 1 < spec_.sides[a]),
+      HP_CHECK(ct == (cf + 1) % spec_.sides[a] &&
+                   (spec_.wrap || cf + 1 < spec_.sides[a]),
                "no such guest edge (not the +1 direction)");
       axis = a;
     }
@@ -297,9 +303,16 @@ class GridOracle final : public PathOracle {
     return axis;
   }
 
+  /// Coordinate `a` of guest node v: GridSpec::coords(v)[a] without the
+  /// vector.
+  Node coord(Node v, int a) const {
+    return v / stride_[a] % spec_.sides[a];
+  }
+
   GridSpec spec_;
   std::vector<Theorem1Core> axes_;
   std::vector<int> bits_, offset_;
+  std::vector<Node> stride_;  // row-major: product of the later sides
   int total_ = 0;
   std::uint64_t num_edges_ = 0;
 };

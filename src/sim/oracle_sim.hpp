@@ -12,12 +12,17 @@
 //   1. Each demanded guest edge's bundle paths are streamed hop by hop
 //      from the oracle straight into a RoutePlan (no HostPath, no Packet,
 //      no bundle vector), recording each hop's 64-bit *global* link id
-//      u·n + dim on the side.
-//   2. The global ids are sorted and deduplicated; each hop is rewritten
-//      to its rank — a plan-local 32-bit link id.  The arena is sized by
-//      the number of *distinct links the traffic touches* (≤ total hops),
-//      not by the host: memory is proportional to the active packet set,
-//      and hosts past the n = 27 dense-id ceiling work unchanged.
+//      u·n + dim on the side.  A distinct bundle path is streamed once
+//      per edge: packets past the bundle width replay a route already in
+//      the plan (its nodes and global ids copied, its walk validated
+//      again), so p packets cost min(p, w) oracle queries, not p.
+//   2. renumber_links rewrites each hop's global id to its rank among the
+//      distinct ids — a plan-local 32-bit link id — with one stable LSD
+//      radix sort of (global id, hop) keys and one scan over the result.
+//      The arena is sized by the number of *distinct links the traffic
+//      touches* (≤ total hops), not by the host: memory is proportional
+//      to the active packet set, and hosts past the n = 27 dense-id
+//      ceiling work unchanged.
 //   3. The store-and-forward engine's own step loop (simcore::run_plan in
 //      store_forward.hpp, FIFO, untraced, fault-free) runs the plan to
 //      completion.  The one difference from a StoreForwardSim run is the
@@ -67,9 +72,29 @@ void add_oracle_route(const PathOracle& oracle, const OracleEdge& edge,
                       simcore::RoutePlan& plan,
                       std::vector<std::uint64_t>& glinks);
 
+/// Plan-local link ids for a hop sequence of 64-bit global link ids
+/// (tail·dims + dim).
+struct CompactLinks {
+  /// Per hop: the rank of its global id among the distinct ids — exactly
+  /// lower_bound(sorted_unique(glinks), glinks[h]).
+  std::vector<std::uint32_t> link_of_hop;
+  /// Per compact id: its global id mod dims, the host dimension.
+  std::vector<std::uint8_t> dim_of;
+  /// Hops on the most used link (the longest run of one global id).
+  std::uint64_t peak_congestion = 0;
+};
+
+/// Renumbers `glinks` (consumed: its buffer holds the sort keys) with one
+/// stable LSD radix sort of (global id << hop_bits | hop) keys over the
+/// global-id bits only, then one scan that assigns ranks.  Throws if a key
+/// would need more than 64 bits or a rank more than 32.
+CompactLinks renumber_links(std::vector<std::uint64_t> glinks, int dims);
+
 /// Compiles `spec.packets_per_edge` packets per demanded guest edge from
-/// the oracle's bundles (add_oracle_route per packet) and runs the FIFO
-/// phase to completion on simcore::run_plan.
+/// the oracle's bundles (add_oracle_route per distinct bundle path, a
+/// replayed copy for every further packet), renumbers links with
+/// renumber_links, and runs the FIFO phase to completion on
+/// simcore::run_plan.
 OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
                                    std::span<const OracleEdge> edges,
                                    const OraclePhaseSpec& spec = {});

@@ -7,9 +7,14 @@
 // exist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "base/error.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
+#include "core/grid_multipath.hpp"
 #include "core/lower_bounds.hpp"
 #include "sim/faults.hpp"
 #include "sim/oracle_sim.hpp"
@@ -137,6 +142,68 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
     EXPECT_EQ(from_alg.dim_transmissions, classic.dim_transmissions);
     EXPECT_EQ(from_alg.delivered,
               static_cast<std::uint64_t>(edges.size()) * p);
+  }
+}
+
+/// Packets past the bundle width replay routes already compiled.  On a
+/// grid whose axes have different widths (3 along the 16-side axis, 5
+/// along the 256-side one) the replay boundary falls at a different packet
+/// per edge; p runs below, at and past both widths.  The streamed phase
+/// must equal the materialized backend field for field, and the dense
+/// StoreForwardSim run plus static link counts over phase_packets.
+TEST(OracleSample, PhaseReplayMatchesAcrossBundleWidths) {
+  const GridSpec spec{{16, 256}, true};
+  const auto alg = algebraic_grid_oracle(spec);
+  const MultiPathEmbedding emb = grid_multipath_embedding(spec);
+  const MaterializedOracle mat(emb);
+
+  std::vector<OracleEdge> edges;
+  std::set<int> widths;
+  for (OracleId g = 0; g < alg->guest_nodes(); ++g) {
+    for (int s = 0; s < alg->out_degree(g); ++s) {
+      edges.push_back(alg->out_edge(g, s));
+      widths.insert(alg->width(edges.back()));
+    }
+  }
+  ASSERT_EQ(widths, (std::set<int>{3, 5}));
+
+  for (const int p : {1, 2, 3, 5, 7, 16}) {
+    SCOPED_TRACE(p);
+    OraclePhaseSpec ps;
+    ps.packets_per_edge = p;
+    const OraclePhaseResult a = run_oracle_phase(*alg, edges, ps);
+    const OraclePhaseResult m = run_oracle_phase(mat, edges, ps);
+    EXPECT_EQ(a.makespan, m.makespan);
+    EXPECT_EQ(a.delivered, m.delivered);
+    EXPECT_EQ(a.total_transmissions, m.total_transmissions);
+    EXPECT_EQ(a.peak_congestion, m.peak_congestion);
+    EXPECT_EQ(a.max_queue, m.max_queue);
+    EXPECT_EQ(a.unique_links, m.unique_links);
+    EXPECT_EQ(a.route_nodes, m.route_nodes);
+    EXPECT_EQ(a.compiled_bytes, m.compiled_bytes);
+    EXPECT_EQ(a.dim_transmissions, m.dim_transmissions);
+
+    const std::vector<Packet> packets = phase_packets(emb, p);
+    const Hypercube& host = emb.host();
+    std::map<std::uint64_t, std::uint64_t> load;
+    std::uint64_t nodes = 0;
+    for (const Packet& pk : packets) {
+      nodes += pk.route.size();
+      for (std::size_t h = 0; h + 1 < pk.route.size(); ++h) {
+        ++load[host.edge_id(pk.route[h], pk.route[h + 1])];
+      }
+    }
+    std::uint64_t peak = 0;
+    for (const auto& [link, n] : load) peak = std::max(peak, n);
+    const SimResult dense = StoreForwardSim(host.dims()).run(packets);
+    EXPECT_EQ(a.makespan, dense.makespan);
+    EXPECT_EQ(a.delivered, packets.size());
+    EXPECT_EQ(a.total_transmissions, dense.total_transmissions);
+    EXPECT_EQ(a.peak_congestion, peak);
+    EXPECT_EQ(a.max_queue, static_cast<std::uint32_t>(dense.max_queue));
+    EXPECT_EQ(a.unique_links, load.size());
+    EXPECT_EQ(a.route_nodes, nodes);
+    EXPECT_EQ(a.dim_transmissions, dense.dim_transmissions);
   }
 }
 
