@@ -18,16 +18,16 @@
 //
 // Metric discipline: everything in the metrics section is a deterministic
 // algorithmic output (digests, counts, makespans, gate booleans) held to
-// exact equality by bench_compare; wall-clock seconds and RSS rises are
-// machine-dependent and go to record_span timings, which the ledger
-// records and bench_trend reports without gating.
+// exact equality by bench_gate; wall-clock seconds, rates and RSS rises
+// are machine-dependent and go to typed measurements, which the ledger
+// records and bench_gate lists without gating.
 //
 // RSS note: each measured stage reads its own peak through
 // obs::PeakRssStage (VmHWM reset at stage start), so a stage that stays
 // under an earlier process peak still reads its real footprint.  Where the
-// reset is unavailable the table says so, the RSS timings are omitted and
-// the RSS gate metrics are not emitted (bench_compare lists them as
-// missing) — an unmeasured stage never passes as 0.
+// reset is unavailable the table says so, the RSS measurements are omitted
+// and the RSS gate metrics are not emitted (bench_gate lists them as
+// vanished) — an unmeasured stage never passes as 0.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -43,7 +43,6 @@
 #include "core/grid_multipath.hpp"
 #include "core/lower_bounds.hpp"
 #include "embed/path_oracle.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "sim/oracle_sim.hpp"
 
@@ -145,7 +144,6 @@ void print_ttfr_table(bench::Report& report) {
   bench::Table t("O2: time-to-first-route and peak RSS — mat vs alg",
                  {"host", "mat ms", "alg ms", "ttfr ratio", "mat MB",
                   "alg MB", "rss ratio", "alg Mpaths/s"});
-  auto& reg = obs::MetricsRegistry::global();
 
   struct Case {
     const char* tag;
@@ -218,18 +216,22 @@ void print_ttfr_table(bench::Report& report) {
           c.materialize ? rss_cell(rss_ratio) : not_run, mpaths);
 
     const std::string tag = c.tag;
-    reg.record_span("ttfr_alg_" + tag, s_alg);
+    report.measure("ttfr_alg_" + tag, s_alg, bench::Unit::kSeconds);
     if (alg_kb) {
-      reg.record_span("alg_rss_kb_" + tag, static_cast<double>(*alg_kb));
+      report.measure("alg_rss_kb_" + tag, static_cast<double>(*alg_kb),
+                     bench::Unit::kKib);
     }
-    reg.record_span("alg_mpaths_per_s_" + tag, mpaths);
+    report.measure("alg_mpaths_per_s_" + tag, mpaths, bench::Unit::kPerSecond);
     if (c.materialize) {
-      reg.record_span("ttfr_mat_" + tag, s_mat);
-      reg.record_span("ttfr_ratio_" + tag, ttfr_ratio);
+      report.measure("ttfr_mat_" + tag, s_mat, bench::Unit::kSeconds);
+      report.measure("ttfr_ratio_" + tag, ttfr_ratio, bench::Unit::kRatio);
       if (mat_kb) {
-        reg.record_span("mat_rss_kb_" + tag, static_cast<double>(*mat_kb));
+        report.measure("mat_rss_kb_" + tag, static_cast<double>(*mat_kb),
+                       bench::Unit::kKib);
       }
-      if (rss_ratio) reg.record_span("rss_ratio_" + tag, *rss_ratio);
+      if (rss_ratio) {
+        report.measure("rss_ratio_" + tag, *rss_ratio, bench::Unit::kRatio);
+      }
     }
     report.metric("stream_paths_" + tag, paths);
     report.metric("stream_nodes_" + tag, sink.nodes());
@@ -258,27 +260,19 @@ void print_ttfr_table(bench::Report& report) {
   report.table(t);
 }
 
-/// Wall seconds the profiler holds for run_oracle_phase's stages: the
-/// "compile", "renumber" and "steps" children of every "sim/oracle_phase"
-/// span, summed.
+/// Wall seconds the profiler holds for run_oracle_phase's stages (the
+/// phase runs outside any bench span, so its stage paths are top-level).
 struct PhaseStages {
   double compile = 0, renumber = 0, steps = 0;
 };
 
 PhaseStages oracle_phase_stages() {
-  PhaseStages s;
-  int phase_depth = -1;  // depth of the enclosing phase span, -1 outside
-  for (const obs::Profiler::NodeView& n : obs::Profiler::global().nodes()) {
-    if (n.depth <= phase_depth) phase_depth = -1;
-    if (n.name == "sim/oracle_phase") {
-      phase_depth = n.depth;
-    } else if (phase_depth >= 0 && n.depth == phase_depth + 1) {
-      if (n.name == "compile") s.compile += n.wall_seconds;
-      if (n.name == "renumber") s.renumber += n.wall_seconds;
-      if (n.name == "steps") s.steps += n.wall_seconds;
-    }
-  }
-  return s;
+  const auto totals = obs::Profiler::global().totals();
+  const auto seconds = [&](const char* stage) {
+    const auto it = totals.find(std::string("sim/oracle_phase/") + stage);
+    return it == totals.end() ? 0.0 : it->second.seconds;
+  };
+  return {seconds("compile"), seconds("renumber"), seconds("steps")};
 }
 
 // O3: the acceptance workload — a Q_24 phase end to end from the algebraic
@@ -289,7 +283,6 @@ void print_q24_phase_table(bench::Report& report) {
                  {"edges", "p", "packets", "makespan", "peak", "floor",
                   "links", "plan MB", "peak MB", "sim s", "compile s",
                   "renumber s", "steps s"});
-  auto& reg = obs::MetricsRegistry::global();
   obs::Profiler::global().set_enabled(true);
 
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
@@ -347,13 +340,14 @@ void print_q24_phase_table(bench::Report& report) {
   report.metric("q24_route_nodes", r.route_nodes);
   report.metric("q24_compiled_bytes", r.compiled_bytes);
   report.metric("q24_congestion_gate", 1);
-  reg.record_span("q24_phase_sim", s_sim);
-  reg.record_span("q24_compile_s", s_compile);
-  reg.record_span("q24_renumber_s", s_renumber);
-  reg.record_span("q24_steps_s", s_steps);
+  report.measure("q24_phase_sim", s_sim, bench::Unit::kSeconds);
+  report.measure("q24_compile_s", s_compile, bench::Unit::kSeconds);
+  report.measure("q24_renumber_s", s_renumber, bench::Unit::kSeconds);
+  report.measure("q24_steps_s", s_steps, bench::Unit::kSeconds);
   if (gate == obs::RssGate::kWithin) {
     report.metric("q24_rss_gate_2gib", 1);
-    reg.record_span("q24_phase_rss_kb", static_cast<double>(*rise_kb));
+    report.measure("q24_phase_rss_kb", static_cast<double>(*rise_kb),
+                   bench::Unit::kKib);
   } else {
     std::fprintf(stderr, "note: Q_24 RSS gate not evaluated (VmHWM reset "
                  "unavailable)\n");

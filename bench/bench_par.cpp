@@ -8,9 +8,9 @@
 // legacy single-metric re-walks.  Every metric in the report is a
 // deterministic output (metric values, congestion checksums, and
 // serial==parallel equality flags, which the determinism contract pins to
-// 1) and is held to exact equality by the bench_compare CI gate;
+// 1) and is held to exact equality by the bench_gate CI gate;
 // wall-clock — and with it any speedup, which depends on the host's core
-// count — goes into the timings section only.
+// count — goes into the measurements only.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -72,7 +72,6 @@ void print_construct_verify_table(bench::Report& report) {
                  {"workload", "edges", "construct s1 ms",
                   "construct p8 ms", "speedup", "verify s1 ms",
                   "verify p8 ms", "speedup", "identical"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     par::TaskPool pool1(1), poolN(kParThreads);
 
@@ -126,10 +125,12 @@ void print_construct_verify_table(bench::Report& report) {
           s_verifyN * 1e3, s_verify1 / s_verifyN, 1);
 
     const std::string key(w.name);
-    reg.record_span("construct_serial_" + key, s_construct1);
-    reg.record_span("construct_par8_" + key, s_constructN);
-    reg.record_span("verify_serial_" + key, s_verify1);
-    reg.record_span("verify_par8_" + key, s_verifyN);
+    report.measure("construct_serial_" + key, s_construct1,
+                   bench::Unit::kSeconds);
+    report.measure("construct_par8_" + key, s_constructN,
+                   bench::Unit::kSeconds);
+    report.measure("verify_serial_" + key, s_verify1, bench::Unit::kSeconds);
+    report.measure("verify_par8_" + key, s_verifyN, bench::Unit::kSeconds);
     report.metric("identical_" + key, 1);
     report.metric("edges_" + key, serial.guest().num_edges());
   }
@@ -145,7 +146,6 @@ void print_metrics_table(bench::Report& report) {
                  {"workload", "4-pass s1 ms", "fused s1 ms", "speedup",
                   "fused p8 ms", "speedup vs 4-pass", "congestion",
                   "checksum ok"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     const MultiPathEmbedding emb = w.make();
     par::TaskPool pool1(1), poolN(kParThreads);
@@ -189,9 +189,11 @@ void print_metrics_table(bench::Report& report) {
           s_fusedN * 1e3, s_four / s_fusedN, congestion, 1);
 
     const std::string key(w.name);
-    reg.record_span("metrics_four_pass_" + key, s_four);
-    reg.record_span("metrics_fused_serial_" + key, s_fused1);
-    reg.record_span("metrics_fused_par8_" + key, s_fusedN);
+    report.measure("metrics_four_pass_" + key, s_four, bench::Unit::kSeconds);
+    report.measure("metrics_fused_serial_" + key, s_fused1,
+                   bench::Unit::kSeconds);
+    report.measure("metrics_fused_par8_" + key, s_fusedN,
+                   bench::Unit::kSeconds);
     report.metric("load_" + key, fused1.load);
     report.metric("dilation_" + key, fused1.dilation);
     report.metric("width_" + key, fused1.width);
@@ -208,10 +210,9 @@ void print_pool_table(bench::Report& report) {
   // P3: pool accounting for one parallel verification region — how many
   // tasks ran and how much total worker time the region consumed.  Steal
   // counts are scheduling artifacts (nondeterministic), so they appear here
-  // and in the timings only, never as gated metrics.
+  // and in the measurements only, never as gated metrics.
   bench::Table t("P3: pool accounting (threads=8 verification region)",
                  {"workload", "regions", "tasks", "steals", "busy ms"});
-  auto& reg = obs::MetricsRegistry::global();
   for (const auto& w : workloads()) {
     const MultiPathEmbedding emb = w.make();
     par::TaskPool pool(kParThreads);
@@ -221,7 +222,8 @@ void print_pool_table(bench::Report& report) {
     double busy = 0;
     for (double b : s.busy_seconds) busy += b;
     t.row(w.label, s.regions, s.tasks, s.steals, busy * 1e3);
-    reg.record_span("pool_busy_" + std::string(w.name), busy);
+    report.measure("pool_busy_" + std::string(w.name), busy,
+                   bench::Unit::kSeconds);
   }
   t.print();
   report.table(t);

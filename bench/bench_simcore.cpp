@@ -1,6 +1,6 @@
-// Infrastructure benchmark: the flat-arena simulator core (simcore.hpp)
-// against the retained map-based reference implementation
-// (reference_sim.hpp).
+// Infrastructure benchmark: the production simulator cores (StoreForwardSim
+// on the shared step kernel in simcore.hpp, and WormholeSim) against the
+// retained map-based reference implementations (reference_sim.hpp).
 //
 // Not a paper experiment — this measures the simulator itself: steps/sec
 // and packet-hops/sec throughput of the store-and-forward core (traced and
@@ -8,8 +8,8 @@
 // heaviest traffic the paper's tables run) and a bit-reversal wormhole
 // permutation.  Every simulation metric in the report is a
 // deterministic output (makespans, transmissions, active-set visits, trace
-// event counts) and is held to exact equality by the bench_compare CI gate;
-// wall-clock goes into the timings section only.
+// event counts) and is held to exact equality by the bench_gate CI gate;
+// wall-clock goes into profiler timings and typed measurements only.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -53,32 +53,32 @@ MultiPathEmbedding phase_embedding(int n) {
 }
 
 void print_store_forward_table(bench::Report& report) {
-  // The acceptance workload of the flat-arena PR: Theorem-1 phases with
+  // The core's acceptance workload: Theorem-1 phases with
   // p = n packets per guest edge on Q_12..Q_16.  Q_12 and Q_14 are not in
   // theorem1_cycle_embedding's direct range (⌊n/4⌋ must be a power of two),
   // so they run the Corollary-1 torus product — every axis embedded by
   // Theorem 1 — at 64×64 and 128×128; Q_16 is the direct Theorem-1 cycle.
-  // "speedup" is map-reference seconds / flat seconds.  The flat run's own
+  // "speedup" is map-reference seconds / core seconds.  The core run's own
   // elapsed time and packet-steps/second (SimResult::packet_steps_per_sec)
-  // land in the timings section as soa_serial_* / pps_soa_serial_* spans
-  // so bench_runner --history and bench_trend chart them.
-  bench::Table t("S1: store-and-forward core — map reference vs flat arena",
-                 {"n", "packets", "makespan", "Mhops", "ref ms", "flat ms",
-                  "speedup", "ref Mhops/s", "flat Mhops/s"});
-  auto& reg = obs::MetricsRegistry::global();
+  // land in the measurements as soa_serial_* / pps_soa_serial_* so
+  // bench_runner --history records them in the ledger.
+  bench::Table t("S1: store-and-forward core — map reference vs "
+                 "StoreForwardSim",
+                 {"n", "packets", "makespan", "Mhops", "ref ms", "sim ms",
+                  "speedup", "ref Mhops/s", "sim Mhops/s"});
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
-      obs::ScopedTimer timer("construct");
+      HP_PROFILE_SPAN("construct");
       return phase_embedding(n);
     }();
     const auto packets = phase_packets(emb, n);
     const refsim::RefStoreForwardSim ref(n);
-    const StoreForwardSim flat(n);
+    const StoreForwardSim sim(n);
 
     SimResult rr, rf;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const double s_ref = seconds_of([&] { rr = ref.run(packets); });
-    const double s_flat = seconds_of([&] { rf = flat.run(packets); });
+    const double s_sim = seconds_of([&] { rf = sim.run(packets); });
     if (rr.makespan != rf.makespan ||
         rr.total_transmissions != rf.total_transmissions) {
       std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
@@ -86,15 +86,17 @@ void print_store_forward_table(bench::Report& report) {
     }
     t.row(n, packets.size(), rf.makespan,
           static_cast<double>(rf.total_transmissions) / 1e6, s_ref * 1e3,
-          s_flat * 1e3, s_ref / s_flat,
+          s_sim * 1e3, s_ref / s_sim,
           mhops_per_sec(rr.total_transmissions, s_ref),
-          mhops_per_sec(rf.total_transmissions, s_flat));
+          mhops_per_sec(rf.total_transmissions, s_sim));
 
     const std::string sn = std::to_string(n);
-    reg.record_span("ref_serial_n" + sn, s_ref);
-    reg.record_span("flat_serial_n" + sn, s_flat);
-    reg.record_span("soa_serial_n" + sn, rf.elapsed_seconds);
-    reg.record_span("pps_soa_serial_n" + sn, rf.packet_steps_per_sec());
+    report.measure("ref_serial_n" + sn, s_ref, bench::Unit::kSeconds);
+    report.measure("sim_serial_n" + sn, s_sim, bench::Unit::kSeconds);
+    report.measure("soa_serial_n" + sn, rf.elapsed_seconds,
+                   bench::Unit::kSeconds);
+    report.measure("pps_soa_serial_n" + sn, rf.packet_steps_per_sec(),
+                   bench::Unit::kPerSecond);
     report.metric("makespan_n" + sn, rf.makespan);
     report.metric("hops_n" + sn, rf.total_transmissions);
     report.metric("link_visits_n" + sn, rf.link_visits);
@@ -105,27 +107,27 @@ void print_store_forward_table(bench::Report& report) {
 }
 
 void print_tracing_table(bench::Report& report) {
-  // Observation overhead of the flat core on the Q_12 phase workload:
+  // Observation overhead of the core on the Q_12 phase workload:
   // trace sink (every event) and live telemetry (one ring-buffer sample
   // every period steps) against the plain run.  Both must leave the
   // simulation bit-identical; the sample counts are deterministic outputs
-  // (gated by bench_compare), the overhead ratios are wall-clock and live
-  // in the timings section only.  The telemetry acceptance bound is <= 5%
+  // (gated by bench_gate), the overhead ratios are wall-clock and live in
+  // the measurements only.  The telemetry acceptance bound is <= 5%
   // at the default period of 64.
-  bench::Table t("S2: flat core observation overhead (tracing + telemetry)",
+  bench::Table t("S2: core observation overhead (tracing + telemetry)",
                  {"n", "packets", "plain ms", "traced ms", "tele64 ms",
                   "tele1 ms", "events", "samples64", "samples1"});
   const int n = 12;
   const auto emb = phase_embedding(n);
   const auto packets = phase_packets(emb, n);
-  const StoreForwardSim flat(n);
+  const StoreForwardSim sim(n);
 
   SimResult rp, rt, r64, r1;
   obs::RingBufferSink ring;
-  obs::ScopedTimer timer("simulate");
-  const double s_plain = seconds_of([&] { rp = flat.run(packets); });
+  HP_PROFILE_SPAN("simulate");
+  const double s_plain = seconds_of([&] { rp = sim.run(packets); });
   const double s_traced = seconds_of(
-      [&] { rt = flat.run(packets, Arbitration::kFifo, 1 << 22, &ring); });
+      [&] { rt = sim.run(packets, Arbitration::kFifo, 1 << 22, &ring); });
 
   // Telemetry at the default period and at the worst case (every step),
   // ring-only so no I/O rides the measurement.
@@ -134,7 +136,7 @@ void print_tracing_table(bench::Report& report) {
     obs::TelemetryBus::Config cfg;
     cfg.period_steps = period;
     bus.enable(cfg);
-    const double s = seconds_of([&] { *out = flat.run(packets); });
+    const double s = seconds_of([&] { *out = sim.run(packets); });
     bus.disable();
     return s;
   };
@@ -158,13 +160,14 @@ void print_tracing_table(bench::Report& report) {
         s_tele1 * 1e3, ring.total(), samples64, samples1);
   t.print();
   report.table(t);
-  auto& reg = obs::MetricsRegistry::global();
-  reg.record_span("flat_plain_n12", s_plain);
-  reg.record_span("flat_traced_n12", s_traced);
-  reg.record_span("flat_telemetry64_n12", s_tele64);
-  reg.record_span("flat_telemetry1_n12", s_tele1);
-  reg.record_span("telemetry64_overhead_ratio", s_tele64 / s_plain);
-  reg.record_span("telemetry1_overhead_ratio", s_tele1 / s_plain);
+  report.measure("sim_plain_n12", s_plain, bench::Unit::kSeconds);
+  report.measure("sim_traced_n12", s_traced, bench::Unit::kSeconds);
+  report.measure("sim_telemetry64_n12", s_tele64, bench::Unit::kSeconds);
+  report.measure("sim_telemetry1_n12", s_tele1, bench::Unit::kSeconds);
+  report.measure("telemetry64_overhead_ratio", s_tele64 / s_plain,
+                 bench::Unit::kRatio);
+  report.measure("telemetry1_overhead_ratio", s_tele1 / s_plain,
+                 bench::Unit::kRatio);
   report.metric("trace_events_n12", ring.total());
   report.metric("telemetry_samples_p64_n12", samples64);
   report.metric("telemetry_samples_p1_n12", samples1);
@@ -175,29 +178,28 @@ void print_wormhole_table(bench::Report& report) {
   // pattern for dimension-ordered routes): map/set reference vs held-link
   // bitmap + compacted worm worklists.
   bench::Table t("S3: wormhole core — set reference vs bitmap worklists",
-                 {"n", "worms", "flits", "makespan", "ref ms", "flat ms",
+                 {"n", "worms", "flits", "makespan", "ref ms", "sim ms",
                   "speedup"});
-  auto& reg = obs::MetricsRegistry::global();
   for (int n : {10, 12}) {
     const auto pattern = bit_reversal_pattern(n);
     const auto worms = ecube_worms(n, pattern, 32);
     const refsim::RefWormholeSim ref(n);
-    const WormholeSim flat(n);
+    const WormholeSim sim(n);
 
     WormResult rr, rf;
-    obs::ScopedTimer timer("simulate");
+    HP_PROFILE_SPAN("simulate");
     const double s_ref = seconds_of([&] { rr = ref.run(worms); });
-    const double s_flat = seconds_of([&] { rf = flat.run(worms); });
+    const double s_sim = seconds_of([&] { rf = sim.run(worms); });
     if (rr.makespan != rf.makespan ||
         rr.total_flit_hops != rf.total_flit_hops) {
       std::fprintf(stderr, "FATAL: wormhole variants disagree on n=%d\n", n);
       std::exit(1);
     }
-    t.row(n, worms.size(), 32, rf.makespan, s_ref * 1e3, s_flat * 1e3,
-          s_ref / s_flat);
+    t.row(n, worms.size(), 32, rf.makespan, s_ref * 1e3, s_sim * 1e3,
+          s_ref / s_sim);
     const std::string sn = std::to_string(n);
-    reg.record_span("ref_wormhole_n" + sn, s_ref);
-    reg.record_span("flat_wormhole_n" + sn, s_flat);
+    report.measure("ref_wormhole_n" + sn, s_ref, bench::Unit::kSeconds);
+    report.measure("sim_wormhole_n" + sn, s_sim, bench::Unit::kSeconds);
     report.metric("worm_makespan_n" + sn, rf.makespan);
     report.metric("worm_flit_hops_n" + sn, rf.total_flit_hops);
   }
@@ -213,7 +215,7 @@ void print_campaign_gate(bench::Report& report) {
   // steps, retransmit scheduling — moves the gated s4_mc_* metrics (their
   // names date from the retired S4 engine-vs-engine table).
   const auto emb10 = [&] {
-    obs::ScopedTimer timer("construct");
+    HP_PROFILE_SPAN("construct");
     return theorem1_cycle_embedding(10);
   }();
   CampaignConfig cfg;
@@ -230,13 +232,13 @@ void print_campaign_gate(bench::Report& report) {
   par::TaskPool pool(8);
   par::PoolScope scope(pool);
   const MonteCarloDriver driver(emb10);
-  obs::ScopedTimer timer("simulate");
+  HP_PROFILE_SPAN("simulate");
   CampaignStats mc;
   const double s_mc = seconds_of([&] { mc = driver.run(cfg); });
   std::printf("S4 Monte-Carlo gate: Q_10 x %u trials, digest %016llx "
               "(%.2fs)\n\n",
               cfg.trials, static_cast<unsigned long long>(mc.digest), s_mc);
-  obs::MetricsRegistry::global().record_span("mc_soa_q10", s_mc);
+  report.measure("mc_soa_q10", s_mc, bench::Unit::kSeconds);
   // uint64 digests do not survive a JSON double round-trip (> 2^53): carry
   // the gated value as two exact 32-bit halves.
   report.metric("s4_mc_digest_hi", static_cast<std::uint64_t>(mc.digest >> 32));
@@ -246,7 +248,7 @@ void print_campaign_gate(bench::Report& report) {
   report.metric("s4_mc_retransmissions", mc.retransmissions);
 }
 
-void BM_FlatSerialPhase(benchmark::State& state) {
+void BM_SimSerialPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto emb = phase_embedding(n);
   const auto packets = phase_packets(emb, n);
@@ -260,7 +262,7 @@ void BM_FlatSerialPhase(benchmark::State& state) {
   state.counters["hops/s"] = benchmark::Counter(
       static_cast<double>(hops), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FlatSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
 void BM_RefSerialPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -278,7 +280,7 @@ void BM_RefSerialPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_RefSerialPhase)->Arg(12)->Arg(14)->Unit(benchmark::kMillisecond);
 
-void BM_FlatWormhole(benchmark::State& state) {
+void BM_SimWormhole(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto worms = ecube_worms(n, bit_reversal_pattern(n), 32);
   const WormholeSim sim(n);
@@ -286,7 +288,7 @@ void BM_FlatWormhole(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.run(worms).makespan);
   }
 }
-BENCHMARK(BM_FlatWormhole)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimWormhole)->Arg(10)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hyperpath

@@ -8,9 +8,9 @@
 // JSON export: constructing a bench::Report strips a `--json [path]` flag
 // from argv (before benchmark::Initialize sees it).  When the flag is
 // present the report writes one machine-readable record — params, metrics,
-// every registered table, and the wall-clock timer spans accumulated in
-// obs::MetricsRegistry — to `path` (default BENCH_<experiment>.json), so
-// perf trajectories can be tracked across PRs instead of eyeballed.
+// typed measurements, every registered table, and the profiler's span
+// timings — to `path` (default BENCH_<experiment>.json), so perf
+// trajectories can be tracked across runs instead of eyeballed.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/run_metadata.hpp"
 
@@ -98,17 +97,35 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Unit of a measurement: hand-timed seconds, KiB, a rate per second, or a
+/// dimensionless ratio.
+enum class Unit { kSeconds, kKib, kPerSecond, kRatio };
+
+inline const char* unit_name(Unit u) {
+  switch (u) {
+    case Unit::kSeconds: return "s";
+    case Unit::kKib: return "kb";
+    case Unit::kPerSecond: return "per_s";
+    case Unit::kRatio: return "ratio";
+  }
+  return "?";
+}
+
 /// Machine-readable record of one bench run:
 ///   {"experiment":..., "meta":{git sha, compiler, flags, host, ...},
 ///    "params":{...}, "metrics":{...},
+///    "measurements":{"name":{"value":...,"unit":"s|kb|per_s|ratio"}},
 ///    "tables":[{"title":..., "columns":[...], "rows":[[...]]}],
-///    "timings":{"name":{"seconds":...,"count":...}},
+///    "timings":{"span/path":{"seconds":...,"count":...}},
 ///    "profile":{span tree}}
-/// Written on destruction when `--json [path]` was passed.
+/// Written on destruction when `--json [path]` was passed.  Metrics are
+/// deterministic and gated exactly; measurements and timings are
+/// machine-dependent.
 ///
 /// Constructing a Report also enables the global span profiler, so the
-/// construction/simulation spans the library brackets (HP_PROFILE_SPAN)
-/// land in the exported "profile" tree without per-bench wiring.
+/// bench's own HP_PROFILE_SPAN regions and the spans the library brackets
+/// land in "timings" (Profiler::totals) and the "profile" tree without
+/// per-bench wiring.
 class Report {
  public:
   /// Strips `--json`, `--json <path>` or `--json=<path>` from argv.
@@ -164,6 +181,14 @@ class Report {
     metrics_.emplace_back(key, number(v));
   }
 
+  /// A machine-dependent number that is not a profiler span: a hand-timed
+  /// region, a footprint, a rate or a ratio.
+  void measure(const std::string& key, double v, Unit unit) {
+    measures_.emplace_back(key, "{\"value\":" + number(v) +
+                                    ",\"unit\":\"" + unit_name(unit) +
+                                    "\"}");
+  }
+
   /// Registers a table for export (call after the table's rows are final).
   void table(const Table& t) { tables_.push_back(t); }
 
@@ -178,6 +203,9 @@ class Report {
     w.end_object();
     w.key("metrics").begin_object();
     for (const auto& [k, v] : metrics_) w.key(k).raw_value(v);
+    w.end_object();
+    w.key("measurements").begin_object();
+    for (const auto& [k, v] : measures_) w.key(k).raw_value(v);
     w.end_object();
     w.key("tables").begin_array();
     for (const Table& t : tables_) {
@@ -196,14 +224,8 @@ class Report {
       w.end_object();
     }
     w.end_array();
-    w.key("timings").begin_object();
-    for (const auto& span : obs::MetricsRegistry::global().timings()) {
-      w.key(span.name).begin_object();
-      w.field("seconds", span.seconds);
-      w.field("count", span.count);
-      w.end_object();
-    }
-    w.end_object();
+    w.key("timings");
+    obs::Profiler::global().write_timings_json(w);
     w.key("profile");
     obs::Profiler::global().write_json(w);
     w.end_object();
@@ -238,6 +260,7 @@ class Report {
   bool enabled_ = false;
   std::vector<std::pair<std::string, std::string>> params_;
   std::vector<std::pair<std::string, std::string>> metrics_;
+  std::vector<std::pair<std::string, std::string>> measures_;
   std::vector<Table> tables_;
 };
 

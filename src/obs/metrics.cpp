@@ -157,23 +157,6 @@ FixedHistogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
-void MetricsRegistry::record_span(const std::string& name, double seconds) {
-  std::scoped_lock lock(mu_);
-  Span& s = timings_[name];
-  s.seconds += seconds;
-  ++s.count;
-}
-
-std::vector<MetricsRegistry::SpanView> MetricsRegistry::timings() const {
-  std::scoped_lock lock(mu_);
-  std::vector<SpanView> out;
-  out.reserve(timings_.size());
-  for (const auto& [name, s] : timings_) {
-    out.push_back({name, s.seconds, s.count});
-  }
-  return out;
-}
-
 void MetricsRegistry::write_json(JsonWriter& w) const {
   std::scoped_lock lock(mu_);
   w.begin_object();
@@ -187,14 +170,6 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
   for (const auto& [name, h] : histograms_) {
     w.key(name);
     h->write_json(w);
-  }
-  w.end_object();
-  w.key("timings").begin_object();
-  for (const auto& [name, s] : timings_) {
-    w.key(name).begin_object();
-    w.field("seconds", s.seconds);
-    w.field("count", s.count);
-    w.end_object();
   }
   w.end_object();
   // The process-wide span tree rides along in every metrics document;
@@ -215,7 +190,6 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  timings_.clear();
 }
 
 }  // namespace hyperpath::obs

@@ -1,5 +1,5 @@
-// Process-wide metrics: named counters, gauges, fixed-bucket histograms and
-// wall-clock timer spans, all exportable as one JSON document.
+// Process-wide metrics: named counters, gauges and fixed-bucket histograms,
+// exportable as one JSON document.
 //
 // Two layers:
 //
@@ -10,13 +10,12 @@
 //     from any thread.  Histogram observation is single-writer (the
 //     simulators deliver from one thread).
 //
-// ScopedTimer measures a wall-clock span (RAII) and accumulates it into the
-// registry's timings section, so benches can bracket "construct" vs
-// "simulate" phases and export both.
+// Wall-clock time is not kept here: HP_PROFILE_SPAN (obs/profile.hpp) is
+// the one timer, and the registry's JSON and Prometheus exports read its
+// span tree.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -147,12 +146,12 @@ class UtilizationProfile {
   std::size_t steps_ = 0;
 };
 
-/// Named registry of counters, gauges, histograms and timer spans.  Entry
+/// Named registry of counters, gauges and histograms.  Entry
 /// addresses are stable for the registry's lifetime, so call sites may
 /// cache the reference returned by counter()/gauge()/histogram().
 class MetricsRegistry {
  public:
-  /// The process-wide registry used by ScopedTimer and the bench harness.
+  /// The process-wide registry the library and the bench harness use.
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);
@@ -166,71 +165,29 @@ class MetricsRegistry {
   FixedHistogram& histogram(const std::string& name,
                             std::vector<double> bounds);
 
-  /// Accumulates one wall-clock span measurement under `name`.
-  void record_span(const std::string& name, double seconds);
-
-  /// Snapshot of every recorded timer span.
-  struct SpanView {
-    std::string name;
-    double seconds = 0;
-    std::uint64_t count = 0;
-  };
-  std::vector<SpanView> timings() const;
-
   /// One JSON document: {"counters":{...},"gauges":{...},
-  /// "histograms":{...},"timings":{...}}.
+  /// "histograms":{...},"profile":{span tree}}.
   std::string to_json() const;
 
   /// Emits the same document into an open writer (as an object value).
   void write_json(JsonWriter& w) const;
 
-  /// The whole registry in Prometheus text exposition format (the /metrics
-  /// payload hyperpathd will serve): counters as `hyperpath_<name>_total`,
-  /// gauges verbatim, histograms as cumulative `_bucket{le=...}` series
-  /// with `_sum`/`_count`, timing spans as `_seconds_total`/`_calls_total`
-  /// counter pairs.  Names are sanitized to the Prometheus charset;
-  /// defined in telemetry.cpp next to validate_prometheus_text.
+  /// The whole registry in Prometheus text exposition format: counters as
+  /// `hyperpath_<name>_total`, gauges verbatim, histograms as cumulative
+  /// `_bucket{le=...}` series with `_sum`/`_count`, and every profiler span
+  /// path (Profiler::totals) as a `_seconds_total`/`_calls_total` counter
+  /// pair.  Names are sanitized to the Prometheus charset; defined in
+  /// telemetry.cpp next to validate_prometheus_text.
   std::string expose_prometheus() const;
 
   /// Drops every entry (tests and repeated bench runs).
   void reset();
 
  private:
-  struct Span {
-    double seconds = 0;
-    std::uint64_t count = 0;
-  };
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<FixedHistogram>> histograms_;
-  std::map<std::string, Span> timings_;
-};
-
-/// RAII wall-clock span: records elapsed seconds into the registry's
-/// timings on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string name,
-                       MetricsRegistry* registry = &MetricsRegistry::global())
-      : name_(std::move(name)),
-        registry_(registry),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    registry_->record_span(
-        name_, std::chrono::duration<double>(elapsed).count());
-  }
-
- private:
-  std::string name_;
-  MetricsRegistry* registry_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace hyperpath::obs

@@ -239,6 +239,30 @@ std::vector<Profiler::NodeView> Profiler::nodes() const {
   return out;
 }
 
+std::map<std::string, Profiler::SpanTotal> Profiler::totals() const {
+  std::map<std::string, SpanTotal> out;
+  std::vector<std::string> path;  // path[d]: span path of the depth-d node
+  for (const NodeView& n : nodes()) {
+    path.resize(static_cast<std::size_t>(n.depth));
+    path.push_back(n.depth == 0 ? n.name : path.back() + "/" + n.name);
+    SpanTotal& t = out[path.back()];
+    t.seconds += n.wall_seconds;
+    t.count += n.count;
+  }
+  return out;
+}
+
+void Profiler::write_timings_json(JsonWriter& w) const {
+  w.begin_object();
+  for (const auto& [path, t] : totals()) {
+    w.key(path).begin_object();
+    w.field("seconds", t.seconds);
+    w.field("count", t.count);
+    w.end_object();
+  }
+  w.end_object();
+}
+
 namespace {
 
 struct MergeItem {

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -82,6 +83,19 @@ class Profiler {
   /// Aggregated tree over every thread that ever recorded a span, threads
   /// in registration order.  Safe to call while disabled.
   std::vector<NodeView> nodes() const;
+
+  /// Wall seconds and visit count of one span path.
+  struct SpanTotal {
+    double seconds = 0;
+    std::uint64_t count = 0;
+  };
+  /// Every node keyed by its span path — names from the root down joined
+  /// by '/' ("simulate/sim/store_forward") — summed across threads.  The
+  /// one source of the "timings" sections reports and the CLI write and of
+  /// the Prometheus span counters.
+  std::map<std::string, SpanTotal> totals() const;
+  /// {"<path>":{"seconds":..,"count":..},...} from totals().
+  void write_timings_json(JsonWriter& w) const;
 
   /// {"<name>":{"count":..,"wall_seconds":..,"cpu_seconds":..,
   ///  "children":{...}}} — one object value merging all threads (span names

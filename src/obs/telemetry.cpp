@@ -17,6 +17,7 @@
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
+#include "obs/profile.hpp"
 #include "obs/run_metadata.hpp"
 
 namespace hyperpath::obs {
@@ -275,8 +276,9 @@ bool prom_label_char(char c) {
   return prom_label_start(c) || std::isdigit(static_cast<unsigned char>(c));
 }
 
-/// Registry names ("recovery.fragments_lost", "par.worker0.busy") mapped to
-/// the Prometheus charset, namespaced under hyperpath_.
+/// Registry names and span paths ("recovery.fragments_lost",
+/// "simulate/sim/store_forward") mapped to the Prometheus charset,
+/// namespaced under hyperpath_.
 std::string prom_sanitize(const std::string& name) {
   std::string out = "hyperpath_";
   for (char c : name) out.push_back(prom_name_char(c) ? c : '_');
@@ -297,7 +299,7 @@ std::string MetricsRegistry::expose_prometheus() const {
   std::scoped_lock lock(mu_);
   std::string out;
   // First-wins on sanitized-name collisions, in a fixed section order
-  // (counters, gauges, histograms, timings) so the exposition is
+  // (counters, gauges, histograms, profiler spans) so the exposition is
   // deterministic for a given registry state.
   std::set<std::string> emitted;
   const auto claim = [&](const std::string& name) {
@@ -338,15 +340,15 @@ std::string MetricsRegistry::expose_prometheus() const {
     out += p + "_sum " + prom_double(h->sum()) + "\n";
     out += p + "_count " + std::to_string(h->count()) + "\n";
   }
-  for (const auto& [name, span] : timings_) {
-    const std::string p = prom_sanitize(name);
+  for (const auto& [path, span] : Profiler::global().totals()) {
+    const std::string p = prom_sanitize(path);
     const std::string secs = p + "_seconds_total";
     const std::string calls = p + "_calls_total";
     if (!claim(secs) || !claim(calls)) continue;
-    out += "# HELP " + secs + " Accumulated span seconds " + name + "\n";
+    out += "# HELP " + secs + " Accumulated span seconds " + path + "\n";
     out += "# TYPE " + secs + " counter\n";
     out += secs + " " + prom_double(span.seconds) + "\n";
-    out += "# HELP " + calls + " Span count " + name + "\n";
+    out += "# HELP " + calls + " Span count " + path + "\n";
     out += "# TYPE " + calls + " counter\n";
     out += calls + " " + std::to_string(span.count) + "\n";
   }

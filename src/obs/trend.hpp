@@ -1,25 +1,40 @@
-// Cross-run performance ledger and drift detection: the analysis core of
-// tools/bench_trend.
+// Benchmark gating: the analysis core of tools/bench_gate.
 //
-// bench_runner --history appends one LedgerEntry line per suite run to
-// bench/history/BENCH_HISTORY.jsonl: run provenance (git sha, host,
-// compiler, flags) plus every report metric flattened to
-// "<bench>.<metric>" and every timing span to "<bench>.<span>" seconds.
-// analyze_trend reads the last N entries that share a comparison key —
-// host | compiler | flags | effective_threads | telemetry_period_steps;
-// series recorded under different thread counts or sampling rates are
-// never compared — and looks for step changes:
+// Every input — a BENCH_SUITE.json, a bare BENCH_<name>.json report, or
+// one line of the performance ledger bench_runner --history appends to —
+// is first flattened into a LedgerEntry: run provenance plus three
+// "<bench>.<name>" series maps:
 //
-//   * metrics  — deterministic outputs; median-based step detection with
-//     tolerance 0 by default, so any persistent change is a step (a noisy
-//     single-run blip moves the split-medians much less than a real step).
-//   * timings  — wall-clock; same detector with a generous default
-//     tolerance, reported but never gating unless --gate-timings.
-//   * bounds   — any "<base>_floor"/"<base>_ceiling" metric pair must
-//     bracket the measured "<base>" (or "<base>" with "congestion" →
-//     "peak_congestion", matching the congestion benches) in the newest
-//     run, and any "*_in_bounds" metric must equal 1.  This keeps the
-//     analytic floor/ceiling argument attached to the trend gate.
+//   * metrics  — reports.<name>.metrics.*: deterministic outputs
+//     (makespans, widths, congestion).  Held exactly: any change in either
+//     direction is a behavioral change and gates.
+//   * timings  — reports.<name>.timings.<span path>.seconds (the profiler
+//     tree) and every "s" measurement: wall-clock, noisy by nature.  Gates
+//     only under a timing tolerance, and only when slower.
+//   * measures — the other measurements (kb, per_s, ratio): recorded and
+//     listed, never gating.
+//
+// Two gates share the flattener, one delta classifier, one bounds check
+// and one exit rule (GateReport::pass):
+//
+//   * gate_baseline — current vs a committed baseline, key by key.  A
+//     report absent from one side is listed once as missing/new (subset
+//     runs are compared against the full baseline); a metric that vanished
+//     from a report both sides have gates; timing and measure keys on one
+//     side only are listed as missing/new and never gate.
+//   * gate_history  — the newest ledger run and its predecessors sharing
+//     the comparison key host | compiler | flags | effective_threads |
+//     telemetry_period_steps (series sampled under different thread counts
+//     or sampling rates are never compared): median-based step detection
+//     over the window, plus the classifier's one-sided findings between
+//     the newest run and the one before it.
+//
+// The bounds check runs on the newest/current metrics in both modes: any
+// "<base>_floor"/"<base>_ceiling" metric pair must bracket the measured
+// "<base>" (or, matching the congestion benches, "<base>_peak_congestion"
+// or "<base>" with "congestion" → "peak_congestion"), and any
+// "*_in_bounds" metric must equal 1.  This keeps the analytic
+// floor/ceiling argument attached to every gate.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +48,7 @@ namespace hyperpath::obs {
 class JsonValue;
 class JsonWriter;
 
-/// One suite run in the ledger (one JSONL line).
+/// One flattened run: a suite document, a bare report, or a ledger line.
 struct LedgerEntry {
   std::string timestamp;
   std::string git_sha;
@@ -44,8 +59,9 @@ struct LedgerEntry {
   int effective_threads = 0;
   /// Telemetry sampling period the suite ran with; 0 = telemetry off.
   int telemetry_period_steps = 0;
-  std::map<std::string, double> metrics;  // "<bench>.<metric>" -> value
-  std::map<std::string, double> timings;  // "<bench>.<span>" -> seconds
+  std::map<std::string, double> metrics;   // "<bench>.<metric>" -> value
+  std::map<std::string, double> timings;   // "<bench>.<span>" -> seconds
+  std::map<std::string, double> measures;  // "<bench>.<name>" -> value
 };
 
 /// Series sampled under different configurations are incomparable; this is
@@ -59,19 +75,38 @@ std::optional<LedgerEntry> parse_ledger_entry(const JsonValue& doc,
 /// Emits `e` as one object value into an open writer.
 void write_ledger_entry(JsonWriter& w, const LedgerEntry& e);
 
-/// Flattens a BENCH_SUITE.json document (object with "reports") into a
-/// LedgerEntry: provenance from "meta", reports.<name>.metrics.* (numbers
-/// only) and reports.<name>.timings.*.seconds.  `telemetry_period_steps`
-/// is stamped by the caller (the suite itself does not know it).
-LedgerEntry flatten_suite(const JsonValue& suite);
+/// Flattens a suite document (object with "reports") or a bare report
+/// (object with "experiment", a one-report suite) into a LedgerEntry:
+/// provenance from "meta", numeric metrics, profiler timings and typed
+/// measurements ({"value":..,"unit":..}; unit "s" joins the timings).
+/// `telemetry_period_steps` is stamped by the caller (the suite itself
+/// does not know it).  Throws hyperpath::Error on any other shape.
+LedgerEntry flatten_suite(const JsonValue& doc);
 
-struct TrendOptions {
-  /// Newest runs (sharing the newest entry's comparison key) to analyze.
-  std::size_t window = 8;
-  /// Relative step tolerance for metrics (0 = any persistent change).
-  double metric_tol = 0.0;
-  /// Relative step tolerance for timings.
-  double timing_tol = 0.30;
+enum class SeriesKind { kMetric, kTiming, kMeasure };
+
+enum class DeltaKind {
+  kOk,        // metric equal, or timing within tolerance
+  kChanged,   // metric differs (gating)
+  kSlower,    // timing slower beyond tolerance (gating)
+  kFaster,    // timing faster beyond tolerance
+  kVanished,  // metric of a report both sides have, absent now (gating)
+  kMissing,   // report, timing or measure on the baseline side only
+  kNew,       // report or key on the current side only
+};
+
+const char* to_string(DeltaKind kind);
+/// kChanged, kSlower and kVanished: the kinds that fail a gate.
+bool gates(DeltaKind kind);
+
+struct Delta {
+  std::string name;  // "<bench>.<key>", or "<bench>" for a whole report
+  SeriesKind series = SeriesKind::kMetric;
+  double baseline = 0;
+  double current = 0;
+  /// (current - baseline) / max(|baseline|, epsilon); 0 for one-sided.
+  double rel_change = 0;
+  DeltaKind kind = DeltaKind::kOk;
 };
 
 /// A detected step change in one series.
@@ -84,29 +119,43 @@ struct TrendFinding {
   double rel_change = 0;   // (after - before) / max(|before|, eps)
 };
 
-struct TrendReport {
-  std::string key;          // comparison key analyzed
-  std::size_t runs = 0;     // entries analyzed (<= window)
-  std::size_t series = 0;   // metric series examined
-  std::vector<TrendFinding> metric_steps;
-  std::vector<TrendFinding> timing_steps;
-  std::vector<std::string> bounds_violations;
-  /// Comparison keys present in the ledger but excluded from this
-  /// analysis (different host/threads/sampling rate).
-  std::vector<std::string> skipped_keys;
-
-  /// The gate: no metric steps and no bounds violations.  Timing steps
-  /// are informational.
-  bool stable() const {
-    return metric_steps.empty() && bounds_violations.empty();
-  }
+struct GateOptions {
+  /// Relative tolerance for timings; negative = timings never gate.
+  double timing_tol = -1.0;
+  /// History mode: newest comparable runs to analyze.
+  std::size_t window = 8;
 };
 
-/// Analyzes the ledger (entries in append order; the newest entry picks
-/// the comparison key).  Metrics absent from some runs of the window are
-/// skipped — suites grow, and a missing series is not a step.
-TrendReport analyze_trend(const std::vector<LedgerEntry>& entries,
-                          const TrendOptions& options = {});
+struct GateReport {
+  std::string key;          // history: comparison key analyzed
+  std::size_t runs = 0;     // runs compared (2 in baseline mode)
+  std::size_t series = 0;   // history: metric series examined
+  std::vector<Delta> deltas;
+  std::vector<TrendFinding> steps;  // history: metric + slower timing steps
+  std::vector<std::string> bounds_violations;
+  /// History: comparison keys in the ledger excluded from the analysis.
+  std::vector<std::string> skipped_keys;
+
+  std::size_t count(DeltaKind kind) const;
+  /// Metric comparisons made (and timing ones, under a tolerance).
+  std::size_t compared() const;
+  /// Changed, slower or vanished deltas, steps, bounds violations, and
+  /// fewer than 2 runs.
+  std::size_t failures() const;
+  /// The exit rule both modes share.
+  bool pass() const { return failures() == 0; }
+};
+
+/// Baseline mode: `current` against a committed `baseline`.
+GateReport gate_baseline(const LedgerEntry& current,
+                         const LedgerEntry& baseline,
+                         const GateOptions& options = {});
+
+/// History mode over a ledger in append order (the newest entry picks the
+/// comparison key).  Step detection covers series present in every run of
+/// the window; a series that appears later is not a step.
+GateReport gate_history(const std::vector<LedgerEntry>& entries,
+                        const GateOptions& options = {});
 
 /// Largest median step in `values` (chronological): max over split points
 /// k of |median(values[k..]) - median(values[..k])| relative to the

@@ -215,11 +215,6 @@ void TaskPool::run_chunks(std::size_t num_chunks,
     for (int w = 0; w < threads_; ++w) s += parts_[w].steals;
     return s;
   }();
-  const std::vector<double> busy_before = [&] {
-    std::vector<double> b(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w) b[w] = parts_[w].busy_seconds;
-    return b;
-  }();
 
   remaining_.store(num_chunks, std::memory_order_release);
   {
@@ -244,19 +239,13 @@ void TaskPool::run_chunks(std::size_t num_chunks,
   region_steals -= steals_before;
   stat_steals_.fetch_add(region_steals, std::memory_order_relaxed);
 
-  // par.* metrics group: counters for tasks/steals, busy-time spans per
-  // worker.  Steal counts are scheduling artifacts — they live here and in
-  // the timings section, never in gated report metrics.
+  // par.* counters for regions/tasks/steals; per-worker busy time lives in
+  // stats().  Steal counts are scheduling artifacts — they live here, never
+  // in gated report metrics.
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("par.regions").add(1);
   reg.counter("par.tasks_executed").add(num_chunks);
   reg.counter("par.steals").add(region_steals);
-  for (int w = 0; w < threads_; ++w) {
-    const double busy = parts_[w].busy_seconds - busy_before[w];
-    if (busy > 0) {
-      reg.record_span("par.worker" + std::to_string(w) + ".busy", busy);
-    }
-  }
 
   // Deterministic error selection: the lowest throwing chunk wins.
   std::exception_ptr err;

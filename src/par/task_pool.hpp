@@ -31,8 +31,8 @@
 //
 // Observability: each region accumulates into the process-wide par.* group
 // of obs::MetricsRegistry — par.regions / par.tasks_executed / par.steals
-// counters plus par.worker<i>.busy timing spans — and brackets itself in an
-// obs::Profiler span ("par/region") on the calling thread.
+// counters; per-worker busy seconds are in stats() — and brackets itself in
+// an obs::Profiler span ("par/region") on the calling thread.
 #pragma once
 
 #include <atomic>

@@ -230,15 +230,15 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   result.unique_links = num_links;
   result.route_nodes = plan.route_nodes.size();
 
-  // The renumber map is counted as one 64-bit global id per compact link,
-  // the information a global <-> compact translation has to hold.
+  // The arrays the sweep runs on: the plan, the per-link dimension table,
+  // the arena and the hop counters.  The radix sort's transient keys are
+  // freed before the sweep and show in measured peak RSS, not here.
   result.compiled_bytes =
       plan.route_nodes.size() * sizeof(Node) +
       plan.route_offsets.size() * sizeof(std::uint32_t) +
       plan.link_of_hop.size() * sizeof(std::uint32_t) +
       plan.route_len.size() * sizeof(std::uint32_t) +
-      plan.release.size() * sizeof(std::uint32_t) +
-      num_links * sizeof(std::uint64_t) + links.dim_of.size() +
+      plan.release.size() * sizeof(std::uint32_t) + links.dim_of.size() +
       num_links * 3 * sizeof(std::uint32_t) +  // arena head/tail/depth
       num_routes * 2 * sizeof(std::uint32_t);  // arena next + hop counters
 

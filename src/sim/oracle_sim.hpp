@@ -59,7 +59,7 @@ struct OraclePhaseResult {
   std::uint32_t max_queue = 0;          // deepest FIFO seen in the sweep
   std::uint64_t unique_links = 0;       // distinct host links touched
   std::uint64_t route_nodes = 0;        // nodes stored in the compiled plan
-  std::uint64_t compiled_bytes = 0;     // plan + renumber table + arena
+  std::uint64_t compiled_bytes = 0;     // plan + dim table + arena
   std::vector<std::uint64_t> dim_transmissions;  // per host dimension
 };
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -103,6 +104,42 @@ TEST(Profiler, SameNameDifferentParentsAreDistinctNodes) {
   EXPECT_EQ(nodes[1].name, "setup");
   EXPECT_EQ(nodes[2].name, "b");
   EXPECT_EQ(nodes[3].name, "setup");
+}
+
+TEST(Profiler, TotalsKeySpansByPathAcrossThreads) {
+  // The timings every report writes: one entry per span path, visits and
+  // seconds summed across threads, same-named spans under different
+  // parents kept apart.
+  Profiler p;
+  p.set_enabled(true);
+  const auto work = [&p] {
+    ProfileSpan a("simulate", &p);
+    for (int i = 0; i < 3; ++i) ProfileSpan s("sim/step", &p);
+  };
+  work();
+  std::thread t(work);
+  t.join();
+  {
+    ProfileSpan c("construct", &p);
+    ProfileSpan s("sim/step", &p);
+  }
+  const auto totals = p.totals();
+  ASSERT_EQ(totals.size(), 4u);
+  EXPECT_EQ(totals.at("simulate").count, 2u);
+  EXPECT_EQ(totals.at("simulate/sim/step").count, 6u);
+  EXPECT_EQ(totals.at("construct").count, 1u);
+  EXPECT_EQ(totals.at("construct/sim/step").count, 1u);
+  EXPECT_GE(totals.at("simulate").seconds,
+            totals.at("simulate/sim/step").seconds / 2);
+
+  obs::JsonWriter w;
+  p.write_timings_json(w);
+  const auto doc = json_parse(w.str());
+  ASSERT_TRUE(doc.has_value()) << w.str();
+  const JsonValue* steps = doc->find("simulate/sim/step");
+  ASSERT_NE(steps, nullptr);
+  EXPECT_EQ(steps->find("count")->as_number(), 6);
+  EXPECT_NE(steps->find("seconds"), nullptr);
 }
 
 TEST(Profiler, CpuTimeIsSaneAgainstWallTime) {

@@ -13,6 +13,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "sim/phase.hpp"
 #include "sim/store_forward.hpp"
 
@@ -151,7 +152,7 @@ TEST(Telemetry, JsonlStreamRoundTripsHeaderAndSamples) {
   ASSERT_TRUE(reader.ok());
   obs::JsonValue doc;
 
-  // Header first: provenance stamps bench_trend keys on (threads, period).
+  // Header first: provenance stamps bench_gate --history keys on (threads, period).
   ASSERT_TRUE(reader.next(&doc));
   ASSERT_NE(doc.find("kind"), nullptr);
   EXPECT_EQ(doc.find("kind")->as_string(), "telemetry_meta");
@@ -187,9 +188,18 @@ TEST(Telemetry, ExposePrometheusPassesTheValidator) {
   h.observe(1);
   h.observe(3);
   h.observe(100);  // overflow bucket
-  reg.record_span("telemetry_test.span", 0.25);
+  // Span counters come from the profiler's path totals.
+  obs::Profiler& prof = obs::Profiler::global();
+  prof.reset();
+  prof.set_enabled(true);
+  {
+    HP_PROFILE_SPAN("telemetry_test");
+    HP_PROFILE_SPAN("span");
+  }
+  prof.set_enabled(false);
 
   const std::string text = reg.expose_prometheus();
+  prof.reset();
   std::string err;
   EXPECT_TRUE(validate_prometheus_text(text, &err)) << err;
 
@@ -200,6 +210,8 @@ TEST(Telemetry, ExposePrometheusPassesTheValidator) {
   EXPECT_NE(text.find("hyperpath_telemetry_test_depth_bucket{le=\"+Inf\"} 3"),
             std::string::npos);
   EXPECT_NE(text.find("hyperpath_telemetry_test_span_seconds_total"),
+            std::string::npos);
+  EXPECT_NE(text.find("hyperpath_telemetry_test_span_calls_total 1"),
             std::string::npos);
 }
 

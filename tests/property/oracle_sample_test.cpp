@@ -207,6 +207,48 @@ TEST(OracleSample, PhaseReplayMatchesAcrossBundleWidths) {
   }
 }
 
+/// compiled_bytes is exactly the arrays the sweep runs on, summed by hand
+/// from the phase's packets: the plan (4-byte route nodes, route offsets,
+/// hop link ids, route lengths, release steps), one dimension byte per
+/// link, the arena's head/tail/depth per link, and next + hop counter per
+/// route.  No id table of 8 bytes per link exists after the renumber.
+TEST(OracleSample, CompiledBytesCountsTheSweepArrays) {
+  const GridSpec spec{{16, 256}, true};
+  const auto alg = algebraic_grid_oracle(spec);
+  const MultiPathEmbedding emb = grid_multipath_embedding(spec);
+  std::vector<OracleEdge> edges;
+  for (OracleId g = 0; g < alg->guest_nodes(); ++g) {
+    for (int s = 0; s < alg->out_degree(g); ++s) {
+      edges.push_back(alg->out_edge(g, s));
+    }
+  }
+  for (const int p : {1, 4, 7}) {
+    SCOPED_TRACE(p);
+    OraclePhaseSpec ps;
+    ps.packets_per_edge = p;
+    const OraclePhaseResult r = run_oracle_phase(*alg, edges, ps);
+
+    const std::vector<Packet> packets = phase_packets(emb, p);
+    std::set<std::uint64_t> links;
+    std::uint64_t nodes = 0;
+    for (const Packet& pk : packets) {
+      nodes += pk.route.size();
+      for (std::size_t h = 0; h + 1 < pk.route.size(); ++h) {
+        links.insert(emb.host().edge_id(pk.route[h], pk.route[h + 1]));
+      }
+    }
+    const std::uint64_t routes = packets.size();
+    const std::uint64_t hops = nodes - routes;
+    const std::uint64_t plan = 4 * nodes + 4 * (routes + 1) + 4 * hops +
+                               4 * routes + 4 * routes;
+    const std::uint64_t per_link = 1 + 3 * 4;
+    const std::uint64_t per_route = 2 * 4;
+    EXPECT_EQ(r.unique_links, links.size());
+    EXPECT_EQ(r.compiled_bytes,
+              plan + per_link * links.size() + per_route * routes);
+  }
+}
+
 /// Q_24 end to end from the algebraic backend: every packet delivered and
 /// the measured congestion at or above the analytic floor.
 TEST(OracleSample, Q24PhaseRespectsCongestionFloor) {

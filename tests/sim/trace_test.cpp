@@ -17,6 +17,7 @@
 #include "core/cycle_multipath.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "sim/faults.hpp"
 #include "sim/phase.hpp"
 #include "sim/recovery.hpp"
@@ -376,16 +377,25 @@ TEST(Metrics, RegistryRoundTrip) {
   h.observe(1);
   h.observe(3);
   h.observe(100);
+  // Wall-clock spans come from the profiler; the registry document embeds
+  // its tree and keeps no timer section of its own.
+  obs::Profiler& prof = obs::Profiler::global();
+  prof.reset();
+  prof.set_enabled(true);
   {
-    obs::ScopedTimer t("span", &reg);
+    HP_PROFILE_SPAN("registry_round_trip_span");
   }
+  prof.set_enabled(false);
   EXPECT_EQ(reg.counter("events").value(), 5u);
   EXPECT_EQ(reg.gauge("depth").value(), 7);
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.max(), 100u);
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"events\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"span\""), std::string::npos);
+  EXPECT_NE(json.find("\"profile\":{\"registry_round_trip_span\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"timings\""), std::string::npos);
+  prof.reset();
   reg.reset();
   EXPECT_EQ(reg.counter("events").value(), 0u);
 }

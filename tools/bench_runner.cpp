@@ -7,10 +7,10 @@
 // --history additionally appends the run to the cross-run performance
 // ledger (default bench/history/BENCH_HISTORY.jsonl): one JSONL line with
 // the run's provenance, effective thread count and telemetry sampling
-// period plus every report metric flattened to "<bench>.<metric>".
-// tools/bench_trend reads that ledger for median-based drift detection;
-// the threads/period stamps keep it from ever comparing series sampled
-// under different configurations.
+// period plus every report metric, timing and measurement flattened to
+// "<bench>.<name>".  `bench_gate --history` reads that ledger for
+// median-based drift detection; the threads/period stamps keep it from
+// ever comparing series sampled under different configurations.
 //
 // Each bench runs as `bench_<name> --json BENCH_<name>.json
 // --benchmark_filter=NONE` (tables only, no google-benchmark timings — the
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
 
   // Ledger append: flatten the suite document just written into one
   // "<bench>.<metric>" line and stamp the sampling configuration, so
-  // bench_trend can group comparable runs and refuse the rest.
+  // bench_gate --history can group comparable runs and refuse the rest.
   if (history && failures == 0) {
     const auto suite = hyperpath::obs::json_parse(w.str());
     if (!suite) {

@@ -608,7 +608,7 @@ int cmd_campaign(int argc, char** argv) {
   if (sweep.empty()) {
     CampaignStats s;
     {
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       s = driver.run(cfg);
     }
     print_campaign(s);
@@ -618,7 +618,7 @@ int cmd_campaign(int argc, char** argv) {
   } else {
     std::vector<EnvelopePoint> envelope;
     {
-      obs::ScopedTimer timer("simulate");
+      HP_PROFILE_SPAN("simulate");
       envelope = sweep_envelope(emb, cfg, sweep);
     }
     w.key("envelope").begin_array();
@@ -780,14 +780,8 @@ void write_trace_json(const std::string& path, const char* kind,
   w.key("latency");
   r.latency.write_json(w);
   w.end_object();
-  w.key("timings").begin_object();
-  for (const auto& span : obs::MetricsRegistry::global().timings()) {
-    w.key(span.name).begin_object();
-    w.field("seconds", span.seconds);
-    w.field("count", span.count);
-    w.end_object();
-  }
-  w.end_object();
+  w.key("timings");
+  obs::Profiler::global().write_timings_json(w);
   w.end_object();
 
   FILE* f = std::fopen(path.c_str(), "w");
@@ -943,7 +937,6 @@ int cmd_trace(int argc, char** argv) {
     }
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_cycle.jsonl";
     MultiPathEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return theorem1_cycle_embedding(n);
     }();
@@ -953,7 +946,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }
@@ -987,7 +979,6 @@ int cmd_trace(int argc, char** argv) {
     }
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_grid.jsonl";
     MultiPathEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return grid_multipath_embedding(spec);
     }();
@@ -997,7 +988,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }
@@ -1027,7 +1017,6 @@ int cmd_trace(int argc, char** argv) {
     }
     if (opt.trace_path.empty()) opt.trace_path = "TRACE_ccc.jsonl";
     KCopyEmbedding emb = [&] {
-      obs::ScopedTimer t("construct");
       HP_PROFILE_SPAN("construct");
       return ccc_multicopy_embedding(n);
     }();
@@ -1038,7 +1027,6 @@ int cmd_trace(int argc, char** argv) {
     begin_telemetry(opt);
     SimResult r;
     {
-      obs::ScopedTimer t("simulate");
       HP_PROFILE_SPAN("simulate");
       r = measure_phase_cost(emb, p, Arbitration::kFifo, &sink);
     }
