@@ -61,11 +61,15 @@ void print_store_forward_table(bench::Report& report) {
   // "speedup" is map-reference seconds / core seconds.  The core run's own
   // elapsed time and packet-steps/second (SimResult::packet_steps_per_sec)
   // land in the measurements as soa_serial_* / pps_soa_serial_* so
-  // bench_runner --history records them in the ledger.
+  // bench_runner --history records them in the ledger.  "phase ms" is
+  // measure_phase_cost on the same embedding, which compiles the routes
+  // from the bundles instead of from the packets (its sim/phase span
+  // splits into compile / setup / steps / drain); it must agree with the
+  // packet run.
   bench::Table t("S1: store-and-forward core — map reference vs "
                  "StoreForwardSim",
                  {"n", "packets", "makespan", "Mhops", "ref ms", "sim ms",
-                  "speedup", "ref Mhops/s", "sim Mhops/s"});
+                  "phase ms", "speedup", "ref Mhops/s", "sim Mhops/s"});
   for (int n : {12, 14, 16}) {
     const auto emb = [&] {
       HP_PROFILE_SPAN("construct");
@@ -75,18 +79,23 @@ void print_store_forward_table(bench::Report& report) {
     const refsim::RefStoreForwardSim ref(n);
     const StoreForwardSim sim(n);
 
-    SimResult rr, rf;
+    SimResult rr, rf, rp;
     HP_PROFILE_SPAN("simulate");
     const double s_ref = seconds_of([&] { rr = ref.run(packets); });
     const double s_sim = seconds_of([&] { rf = sim.run(packets); });
+    const double s_phase =
+        seconds_of([&] { rp = measure_phase_cost(emb, n); });
     if (rr.makespan != rf.makespan ||
-        rr.total_transmissions != rf.total_transmissions) {
+        rr.total_transmissions != rf.total_transmissions ||
+        rp.makespan != rf.makespan ||
+        rp.total_transmissions != rf.total_transmissions ||
+        rp.link_visits != rf.link_visits || rp.max_queue != rf.max_queue) {
       std::fprintf(stderr, "FATAL: core variants disagree on n=%d\n", n);
       std::exit(1);
     }
     t.row(n, packets.size(), rf.makespan,
           static_cast<double>(rf.total_transmissions) / 1e6, s_ref * 1e3,
-          s_sim * 1e3, s_ref / s_sim,
+          s_sim * 1e3, s_phase * 1e3, s_ref / s_sim,
           mhops_per_sec(rr.total_transmissions, s_ref),
           mhops_per_sec(rf.total_transmissions, s_sim));
 
@@ -97,6 +106,8 @@ void print_store_forward_table(bench::Report& report) {
                    bench::Unit::kSeconds);
     report.measure("pps_soa_serial_n" + sn, rf.packet_steps_per_sec(),
                    bench::Unit::kPerSecond);
+    report.measure("phase_serial_n" + sn, rp.elapsed_seconds,
+                   bench::Unit::kSeconds);
     report.metric("makespan_n" + sn, rf.makespan);
     report.metric("hops_n" + sn, rf.total_transmissions);
     report.metric("link_visits_n" + sn, rf.link_visits);

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <utility>
 
 #include "base/error.hpp"
 #include "obs/profile.hpp"
+#include "sim/phase.hpp"
 #include "sim/step_kernel.hpp"
 #include "sim/store_forward.hpp"
 
@@ -167,7 +167,7 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
   std::vector<std::uint64_t> glinks;  // global link id per hop, in hop order
 
   {
-    // Streaming compilation: phase_packets ordering (bundle indices
+    // Streaming compilation: phase_order's schedule (bundle indices
     // stable-sorted by increasing path length; packet j rides
     // order[j mod width]), but no Packet or HostPath ever exists.  The
     // first min(p, w) packets stream their paths from the oracle; packet
@@ -180,10 +180,7 @@ OraclePhaseResult run_oracle_phase(const PathOracle& oracle,
       HP_CHECK(w > 0, "demanded guest edge has an empty bundle");
       hops.resize(w);
       for (int i = 0; i < w; ++i) hops[i] = oracle.path_hops(e, i);
-      order.resize(w);
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](int a, int b) { return hops[a] < hops[b]; });
+      phase_order(hops, order);
       return w;
     };
 

@@ -9,15 +9,10 @@
 namespace hyperpath::simcore {
 
 LinkFifoArena::LinkFifoArena(std::uint64_t num_links, std::size_t num_packets)
-    : head_(num_links, kNil),
-      tail_(num_links, kNil),
-      depth_(num_links, 0),
-      next_(num_packets, kNil) {}
+    : queue_(num_links), next_(num_packets, kNil) {}
 
 void LinkFifoArena::reset(std::uint64_t num_links, std::size_t num_packets) {
-  head_.assign(num_links, kNil);
-  tail_.assign(num_links, kNil);
-  depth_.assign(num_links, 0);
+  queue_.assign(num_links, LinkQueue{});
   next_.assign(num_packets, kNil);
 }
 

@@ -6,10 +6,12 @@
 // everything is a flat array indexed by link id.
 //
 //   * LinkFifoArena — intrusive per-link packet FIFOs.  A packet waits in at
-//     most one queue at a time, so a single `next[packet]` array plus dense
-//     `head[link]` / `tail[link]` / `depth[link]` arrays hold every queue of
-//     the run with zero per-enqueue allocation (the map-of-deques layout
-//     this replaces paid a hash probe plus deque node churn per enqueue).
+//     most one queue at a time, so a single `next[packet]` array plus one
+//     dense `{head, tail, depth}` record per link hold every queue of the
+//     run with zero per-enqueue allocation (the map-of-deques layout this
+//     replaces paid a hash probe plus deque node churn per enqueue).  The
+//     three fields share one 12-byte record because every push and pop
+//     touches all of them: one cache line per queue operation, not three.
 //
 //   * Active-set scheduling — a step visits only links that currently hold
 //     packets.  Enqueueing into an empty queue appends the link to a caller
@@ -38,9 +40,12 @@
 //     thread.  The oracle phase runs on a call-local one, so its
 //     plan-sized state is freed on return.
 //
-// Memory: the arena is O(n·2^n) words per run (three 32-bit words per link,
-// one per packet) — ~12 MiB for Q_16, allocated once per run() and reused
-// across every step.  The simulators' dims stay well inside that regime.
+// Memory: the arena is O(n·2^n) words per run (a 12-byte queue record per
+// link, one 32-bit word per packet) — 12 MiB of records for Q_16's 1M
+// links, sized once per run and reused across every step.  Records are
+// not padded to 16 bytes: that would cost a third more memory for the 2 in
+// 16 records that straddle a cache line.  The simulators' dims stay well
+// inside that regime.
 //
 // Width discipline: queue depths are uniformly std::uint32_t inside the
 // core (a queue can never hold more packets than the 32-bit packet ids that
@@ -88,8 +93,21 @@ class LinkFifoArena {
   /// thousands of short simulations (recovery waves, Monte-Carlo trials).
   void reset(std::uint64_t num_links, std::size_t num_packets);
 
-  bool empty(std::uint64_t link) const { return head_[link] == kNil; }
-  std::uint32_t depth(std::uint64_t link) const { return depth_[link]; }
+  bool empty(std::uint64_t link) const { return queue_[link].head == kNil; }
+  std::uint32_t depth(std::uint64_t link) const { return queue_[link].depth; }
+
+  /// The oldest waiting packet of `link` (kNil when empty) — lets the
+  /// sweep prefetch that packet's intrusive successor slot ahead of use.
+  std::uint32_t head(std::uint64_t link) const { return queue_[link].head; }
+
+  /// Read-prefetches `link`'s queue record (one cache line).
+  void prefetch_queue(std::uint64_t link) const {
+    __builtin_prefetch(&queue_[link]);
+  }
+  /// Read-prefetches packet `id`'s intrusive successor slot.
+  void prefetch_next(std::uint32_t id) const {
+    __builtin_prefetch(&next_[id]);
+  }
 
   /// Appends packet `id` to `link`'s queue.  When the queue was empty the
   /// link is pushed onto `worklist` — the caller-owned active set of 32-bit
@@ -100,26 +118,28 @@ class LinkFifoArena {
   /// before any enqueue runs.
   void push_back(std::uint64_t link, std::uint32_t id,
                  std::vector<std::uint32_t>& worklist) {
+    LinkQueue& q = queue_[link];
     // A queue deeper than the 32-bit id space is impossible (each packet
     // waits in at most one queue); guard the wrap anyway in debug builds.
-    assert(depth_[link] != 0xffffffffu && "link queue depth overflow");
+    assert(q.depth != 0xffffffffu && "link queue depth overflow");
     next_[id] = kNil;
-    if (head_[link] == kNil) {
-      head_[link] = id;
+    if (q.head == kNil) {
+      q.head = id;
       worklist.push_back(static_cast<std::uint32_t>(link));
     } else {
-      next_[tail_[link]] = id;
+      next_[q.tail] = id;
     }
-    tail_[link] = id;
-    ++depth_[link];
+    q.tail = id;
+    ++q.depth;
   }
 
   /// Removes and returns the oldest waiting packet.  Requires !empty(link).
   std::uint32_t pop_front(std::uint64_t link) {
-    const std::uint32_t id = head_[link];
-    head_[link] = next_[id];
-    if (head_[link] == kNil) tail_[link] = kNil;
-    --depth_[link];
+    LinkQueue& q = queue_[link];
+    const std::uint32_t id = q.head;
+    q.head = next_[id];
+    if (q.head == kNil) q.tail = kNil;
+    --q.depth;
     return id;
   }
 
@@ -128,7 +148,8 @@ class LinkFifoArena {
   /// O(depth).  Requires !empty(link).
   template <typename Key>
   std::uint32_t pop_max(std::uint64_t link, Key&& key) {
-    std::uint32_t best = head_[link];
+    LinkQueue& q = queue_[link];
+    std::uint32_t best = q.head;
     std::uint32_t best_prev = kNil;
     auto best_key = key(best);
     for (std::uint32_t prev = best, it = next_[best]; it != kNil;
@@ -141,12 +162,12 @@ class LinkFifoArena {
       }
     }
     if (best_prev == kNil) {
-      head_[link] = next_[best];
+      q.head = next_[best];
     } else {
       next_[best_prev] = next_[best];
     }
-    if (tail_[link] == best) tail_[link] = best_prev;
-    --depth_[link];
+    if (q.tail == best) q.tail = best_prev;
+    --q.depth;
     return best;
   }
 
@@ -154,25 +175,28 @@ class LinkFifoArena {
   /// fault-truncation pass).
   template <typename Fn>
   void for_each(std::uint64_t link, Fn&& fn) const {
-    for (std::uint32_t it = head_[link]; it != kNil; it = next_[it]) {
+    for (std::uint32_t it = queue_[link].head; it != kNil; it = next_[it]) {
       fn(it);
     }
   }
 
   /// Empties `link`'s queue in O(1).  Any worklist entry for the link goes
   /// stale and is dropped by the next sweep's compaction.
-  void clear_link(std::uint64_t link) {
-    head_[link] = kNil;
-    tail_[link] = kNil;
-    depth_[link] = 0;
+  void clear_link(std::uint64_t link) { queue_[link] = LinkQueue{}; }
+
+  std::uint64_t num_links() const {
+    return static_cast<std::uint64_t>(queue_.size());
   }
 
-  std::uint64_t num_links() const { return static_cast<std::uint64_t>(head_.size()); }
-
  private:
-  std::vector<std::uint32_t> head_;   // per link; kNil = empty
-  std::vector<std::uint32_t> tail_;   // per link; kNil = empty
-  std::vector<std::uint32_t> depth_;  // per link
+  /// One link's queue: everything a push or pop of that link touches.
+  struct LinkQueue {
+    std::uint32_t head = kNil;  // kNil = empty
+    std::uint32_t tail = kNil;  // kNil = empty
+    std::uint32_t depth = 0;
+  };
+
+  std::vector<LinkQueue> queue_;      // per link
   std::vector<std::uint32_t> next_;   // per packet; intrusive successor
 };
 

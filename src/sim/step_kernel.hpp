@@ -1,6 +1,6 @@
 // The templated branch-light step-sweep kernel of the store-and-forward
-// engine (store_forward.cpp's run_plan — the one step loop, which both
-// StoreForwardSim and the oracle phase run).
+// engine (store_forward.cpp's run_plan — the one step loop, which
+// StoreForwardSim, measure_phase_cost and the oracle phase all run).
 //
 // One sweep serves one worklist of active links: pop one packet per live
 // link, account the transmission, compact the worklist in place.  The two
@@ -34,11 +34,22 @@
 // the oracle phase's compact plan-local ids, where the modulo would be
 // wrong.
 //
+// Prefetch: at Q_16 a sweep entry is a chain of cache misses (worklist →
+// the link's queue record → its head packet's successor slot), and no loop
+// here vectorizes.  The sweep therefore prefetches the queue record of the
+// link kPrefetchDistance entries ahead and, half that distance ahead, the
+// successor slot of that link's head packet (its record was fetched
+// kPrefetchDistance / 2 iterations earlier).  store_forward.cpp's arrival
+// pass does the same for the next-hop queue record of the packet
+// kPrefetchDistance entries ahead in `moved`.
+//
 // Determinism: the sweep visits the worklist in order and emits events in
 // deterministic order; everything order-sensitive downstream (trace
 // streams, arrivals) is put in canonical order by the caller.  A traced
 // run orders its worklist by link first, which makes the sweep's events
 // canonical as emitted (obs/trace.hpp's StepTrace then skips the sort).
+// Prefetches are hints on in-range indices: they change no visiting order
+// and no value, so results and traces are the same with or without them.
 #pragma once
 
 #include <algorithm>
@@ -51,6 +62,11 @@
 #include "sim/simcore.hpp"
 
 namespace hyperpath::simcore {
+
+/// How many entries ahead of use the sweep (in the worklist) and the
+/// arrival pass (in `moved`) prefetch.  The Q_16 gains in EXPERIMENTS.md
+/// were measured at 16; no other distance was measured.
+inline constexpr std::size_t kPrefetchDistance = 16;
 
 /// Outputs of one sweep over one worklist.
 struct SweepStats {
@@ -113,11 +129,20 @@ inline SweepStats step_sweep(LinkFifoArena& arena,
                              [[maybe_unused]] EmitFn&& emit) {
   using obs::TraceEvent;
   using obs::TraceEventKind;
+  constexpr std::size_t kAhead = kPrefetchDistance;
+  constexpr std::size_t kHalf = kPrefetchDistance / 2;
   SweepStats out;
   std::size_t keep = 0;
   const std::size_t count = worklist.size();
   out.link_visits = static_cast<std::uint64_t>(count);
   for (std::size_t r = 0; r < count; ++r) {
+    // Compaction writes only slots <= r, so the entries ahead are still
+    // the unvisited links.
+    if (r + kAhead < count) arena.prefetch_queue(worklist[r + kAhead]);
+    if (r + kHalf < count) {
+      const std::uint32_t head = arena.head(worklist[r + kHalf]);
+      if (head != kNil) arena.prefetch_next(head);
+    }
     const std::uint64_t link = worklist[r];
     if constexpr (Faulted) {
       if (arena.empty(link)) continue;  // stale: emptied by the drop pass
@@ -190,15 +215,6 @@ inline void sort_moved(std::vector<std::uint32_t>& moved,
       bits &= bits - 1;
     } while (bits != 0);
   }
-}
-
-/// Batched hop advance of the arrival pass: every moved packet steps one
-/// hop before any delivery test or re-enqueue runs.  Kept a separate
-/// unit-stride loop so the compiler can vectorize the gather/increment/
-/// scatter independent of the re-enqueue's control flow.
-inline void advance_hops(const std::vector<std::uint32_t>& moved,
-                         std::uint32_t* hop) {
-  for (const std::uint32_t id : moved) ++hop[id];
 }
 
 }  // namespace hyperpath::simcore

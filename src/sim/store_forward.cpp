@@ -66,10 +66,21 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
     arena.push_back(link, id, active);
     return link;
   };
+  // Prefetches the queue record route `id` joins at hop `at` (none once it
+  // is at its destination) — issued kPrefetchDistance routes before the
+  // enqueue that needs it.
+  const auto prefetch_enqueue = [&](std::uint32_t id, std::uint32_t at) {
+    if (at < route_len[id]) {
+      arena.prefetch_queue(link_of_hop[route_off[id] + at]);
+    }
+  };
 
   {
     HP_PROFILE_SPAN("setup");
     for (std::uint32_t id = 0; id < num_routes; ++id) {
+      if (id + kPrefetchDistance < num_routes) {
+        prefetch_enqueue(id + kPrefetchDistance, 0);
+      }
       if (route_len[id] == 0) continue;  // already at destination
       ++undelivered;
       if (release[id] == 0) {
@@ -199,11 +210,18 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
     // canonical order that makes results reproducible.  A packet whose next
     // link just died still enqueues here; the truncation pass of the next
     // step drops it at that node.
+    // Each packet's hop advances as it is visited; the packet
+    // kPrefetchDistance entries on has not advanced yet, hence its + 1.
     sort_moved(moved, scratch.moved_mask);
-    advance_hops(moved, hop);
     if constexpr (Traced) trace.reserve(TraceEventKind::kArrive, moved.size());
-    for (const std::uint32_t id : moved) {
-      if (hop[id] == route_len[id]) {
+    const std::size_t num_moved = moved.size();
+    for (std::size_t i = 0; i < num_moved; ++i) {
+      if (i + kPrefetchDistance < num_moved) {
+        const std::uint32_t ahead = moved[i + kPrefetchDistance];
+        prefetch_enqueue(ahead, hop[ahead] + 1);
+      }
+      const std::uint32_t id = moved[i];
+      if (++hop[id] == route_len[id]) {
         --undelivered;
         const std::uint64_t lat = static_cast<std::uint64_t>(
             step + 1 - static_cast<int>(release[id]));

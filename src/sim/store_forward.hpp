@@ -22,9 +22,10 @@
 // This is the one store-and-forward step loop of the library (the map-based
 // reference_sim.hpp is the test spec it is checked against).  A run is a
 // thin front — compile the packets into the thread's scratch RoutePlan —
-// and simcore::run_plan, the body every caller shares: the oracle phase
-// (oracle_sim.hpp) compiles its plan straight from a PathOracle and runs
-// the same body, untraced and fault-free.
+// and simcore::run_plan, the body every caller shares: measure_phase_cost
+// (phase.hpp) compiles its plan straight from an embedding's bundles, and
+// the oracle phase (oracle_sim.hpp, untraced and fault-free) straight
+// from a PathOracle; both run the same body.
 #pragma once
 
 #include "obs/trace.hpp"

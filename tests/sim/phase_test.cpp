@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/bits.hpp"
+#include "base/error.hpp"
+#include "core/cycle_multipath.hpp"
 #include "embed/classical.hpp"
+#include "obs/trace.hpp"
 
 namespace hyperpath {
 namespace {
@@ -79,6 +84,87 @@ TEST(Phase, EvenCubeFullUtilization) {
   const auto r = measure_phase_cost(emb, 1);
   ASSERT_EQ(r.utilization.steps(), 1u);
   EXPECT_DOUBLE_EQ(r.utilization.profile()[0], 1.0);
+}
+
+// measure_phase_cost compiles its routes straight from the embedding; it
+// must be exactly StoreForwardSim::run over phase_packets — every
+// deterministic result field and, traced, the whole event stream.
+template <typename Embedding>
+void expect_direct_matches_materialized(const Embedding& emb, int p,
+                                        const std::string& label) {
+  const StoreForwardSim sim(emb.host().dims());
+  for (const Arbitration policy :
+       {Arbitration::kFifo, Arbitration::kFarthestFirst}) {
+    for (const bool traced : {false, true}) {
+      const std::string at = label + " p=" + std::to_string(p) +
+                             (policy == Arbitration::kFifo ? " fifo" : " ff") +
+                             (traced ? " traced" : "");
+      obs::RingBufferSink direct_sink, packet_sink;
+      const SimResult direct =
+          measure_phase_cost(emb, p, policy, traced ? &direct_sink : nullptr);
+      const SimResult via_packets =
+          sim.run(phase_packets(emb, p), policy, 1 << 22,
+                  traced ? &packet_sink : nullptr);
+      EXPECT_EQ(direct.makespan, via_packets.makespan) << at;
+      EXPECT_EQ(direct.total_transmissions, via_packets.total_transmissions)
+          << at;
+      EXPECT_EQ(direct.utilization, via_packets.utilization) << at;
+      EXPECT_EQ(direct.max_queue, via_packets.max_queue) << at;
+      EXPECT_EQ(direct.dim_transmissions, via_packets.dim_transmissions)
+          << at;
+      EXPECT_EQ(direct.latency, via_packets.latency) << at;
+      EXPECT_EQ(direct.link_visits, via_packets.link_visits) << at;
+      EXPECT_GT(direct.elapsed_seconds, 0.0) << at;
+      if (traced) {
+        ASSERT_GT(direct_sink.total(), 0u) << at;
+        ASSERT_EQ(direct_sink.dropped(), 0u) << at;
+        EXPECT_EQ(direct_sink.total(), packet_sink.total()) << at;
+        EXPECT_EQ(direct_sink.events(), packet_sink.events()) << at;
+      }
+    }
+  }
+}
+
+TEST(Phase, DirectCompileMatchesPhasePacketsTheorem1) {
+  // Width 4 on Q_8: p = 1 and 4 stay inside one round of the bundle,
+  // 5 and 12 wrap it, so the sorted order decides which paths repeat.
+  const auto emb = theorem1_cycle_embedding(8);
+  for (const int p : {1, 4, 5, 12}) {
+    expect_direct_matches_materialized(emb, p, "theorem1 Q_8");
+  }
+}
+
+TEST(Phase, DirectCompileMatchesPhasePacketsKCopy) {
+  expect_direct_matches_materialized(multicopy_directed_cycles(4), 3,
+                                     "k-copy Q_4");
+}
+
+TEST(Phase, PhaseOrderIsAStableSortByHops) {
+  std::vector<int> order;
+  const std::vector<std::uint32_t> hops = {3, 1, 3, 1, 2};
+  phase_order(hops, order);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 0, 2}));
+  phase_order(std::vector<std::uint32_t>{}, order);
+  EXPECT_TRUE(order.empty());
+}
+
+TEST(Phase, DirectCompileValidatesRoutes) {
+  DigraphBuilder b(2);
+  b.add_edge(0, 1);
+  MultiPathEmbedding emb(std::move(b).build(), 2);
+  emb.set_node_map({0b00, 0b11});
+  emb.set_paths(0, {{0b00, 0b11}});  // not a hypercube edge
+  EXPECT_THROW(
+      {
+        try {
+          measure_phase_cost(emb, 1);
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("packet route invalid"),
+                    std::string::npos);
+          throw;
+        }
+      },
+      Error);
 }
 
 }  // namespace

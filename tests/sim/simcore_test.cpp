@@ -10,6 +10,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -84,6 +85,43 @@ TEST(LinkFifoArena, ClearLinkEmptiesInConstantTime) {
   arena.push_back(2, 7, work);
   EXPECT_EQ(arena.depth(2), 1u);
   EXPECT_EQ(arena.pop_front(2), 7u);
+}
+
+TEST(LinkFifoArena, ResetReusesCapacityAndKeepsQueueDiscipline) {
+  LinkFifoArena arena(4, 4);
+  std::vector<std::uint32_t> work;
+  for (std::uint32_t id = 0; id < 4; ++id) arena.push_back(id % 2, id, work);
+  // Grow, then shrink: every queue of the new size starts empty, including
+  // links that held packets before the reset.
+  for (const auto& [links, packets] :
+       {std::pair<std::uint64_t, std::size_t>{64, 40}, {3, 8}}) {
+    arena.reset(links, packets);
+    ASSERT_EQ(arena.num_links(), links);
+    for (std::uint64_t link = 0; link < links; ++link) {
+      EXPECT_TRUE(arena.empty(link)) << link;
+      EXPECT_EQ(arena.depth(link), 0u) << link;
+      EXPECT_EQ(arena.head(link), kNil) << link;
+    }
+    work.clear();
+    // FIFO order on link 2, pop_max ties to the earliest-queued on link 1.
+    for (const std::uint32_t id : {5u, 2u, 7u}) arena.push_back(2, id, work);
+    for (const std::uint32_t id : {0u, 1u, 3u, 4u}) {
+      arena.push_back(1, id, work);
+    }
+    EXPECT_EQ(work, (std::vector<std::uint32_t>{2, 1}));
+    EXPECT_EQ(arena.depth(2), 3u);
+    EXPECT_EQ(arena.pop_front(2), 5u);
+    EXPECT_EQ(arena.pop_front(2), 2u);
+    EXPECT_EQ(arena.pop_front(2), 7u);
+    EXPECT_TRUE(arena.empty(2));
+    const auto key = [](std::uint32_t id) { return id == 1 || id == 3; };
+    EXPECT_EQ(arena.pop_max(1, key), 1u);
+    EXPECT_EQ(arena.pop_max(1, key), 3u);
+    EXPECT_EQ(arena.pop_max(1, key), 0u);
+    EXPECT_EQ(arena.pop_max(1, key), 4u);
+    EXPECT_TRUE(arena.empty(1));
+    EXPECT_EQ(arena.depth(1), 0u);
+  }
 }
 
 TEST(LinkBitmap, SetTestClear) {
