@@ -7,7 +7,6 @@
 #include "base/error.hpp"
 #include "obs/profile.hpp"
 #include "sim/simcore.hpp"
-#include "sim/step_kernel.hpp"
 
 namespace hyperpath {
 
@@ -20,58 +19,61 @@ void phase_order(std::span<const std::uint32_t> hops, std::vector<int>& order) {
 
 namespace {
 
-/// The phase schedule of every guest edge of `emb`, in edge order:
-/// visit(e, bundle, order) once per edge, order from phase_order.
-template <typename Visit>
-void for_each_scheduled_edge(const MultiPathEmbedding& emb, Visit&& visit) {
-  std::vector<std::uint32_t> hops;
-  std::vector<int> order;
-  for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
-    const auto bundle = emb.paths(e);
-    HP_CHECK(!bundle.empty(), "phase needs a nonempty bundle per guest edge");
-    // Node counts order the paths exactly as hop counts do.
-    hops.resize(bundle.size());
-    for (std::size_t i = 0; i < bundle.size(); ++i) {
-      hops[i] = static_cast<std::uint32_t>(bundle[i].size());
-    }
-    phase_order(hops, order);
-    visit(e, bundle, std::span<const int>(order));
-  }
-}
+/// An embedding's bundles as compile_phase's source.
+struct EmbeddingBundles {
+  const MultiPathEmbedding& emb;
 
-/// Compiles one phase into the calling thread's scratch plan through
-/// `compile(plan)` and runs it on the one step loop, fault-free.  Timed
-/// like StoreForwardSim::run: elapsed_seconds spans compile and run.
-template <typename Compile>
-SimResult run_phase(const Hypercube& host, Compile&& compile,
-                    Arbitration policy, obs::TraceSink* sink) {
+  int width(std::size_t e) const {
+    return static_cast<int>(emb.paths(e).size());
+  }
+  std::uint32_t hops(std::size_t e, int i) const {
+    const std::size_t nodes = emb.paths(e)[i].size();
+    return static_cast<std::uint32_t>(nodes > 0 ? nodes - 1 : 0);
+  }
+  void stream(std::size_t e, int i, simcore::RoutePlan& plan) const {
+    for (const Node v : emb.paths(e)[i]) plan.push_node(v);
+  }
+};
+
+/// A k-copy embedding as compile_phase's source: bundle c·|E| + e is copy
+/// c's single path for guest edge e.
+struct KCopyBundles {
+  const KCopyEmbedding& emb;
+
+  const HostPath& path(std::size_t k) const {
+    const std::size_t edges = emb.guest().num_edges();
+    return emb.path(static_cast<int>(k / edges), k % edges);
+  }
+  int width(std::size_t) const { return 1; }
+  std::uint32_t hops(std::size_t k, int) const {
+    const std::size_t nodes = path(k).size();
+    return static_cast<std::uint32_t>(nodes > 0 ? nodes - 1 : 0);
+  }
+  void stream(std::size_t k, int, simcore::RoutePlan& plan) const {
+    for (const Node v : path(k)) plan.push_node(v);
+  }
+};
+
+/// Compiles one phase of `num_edges` bundles from `bundles` into the
+/// calling thread's scratch plan and runs it on the shared tail,
+/// fault-free.  Timed like StoreForwardSim::run: elapsed_seconds spans
+/// compile and run.
+template <typename Bundles>
+SimResult run_phase(const Hypercube& host, std::size_t num_edges, int p,
+                    const Bundles& bundles, Arbitration policy,
+                    obs::TraceSink* sink) {
+  HP_CHECK(p >= 1, "phase needs at least one packet per edge");
   const auto t0 = std::chrono::steady_clock::now();
   HP_PROFILE_SPAN("sim/phase");
   simcore::StepScratch& scratch = simcore::step_scratch();
   {
     HP_PROFILE_SPAN("compile");
-    HP_CHECK(host.num_directed_edges() <= 0xffffffffull,
-             "route plan needs 32-bit link ids (hypercube too large)");
     scratch.plan.clear();
-    compile(scratch.plan);
-    if (scratch.plan.route_offsets.empty()) {
-      scratch.plan.route_offsets.push_back(0);
-    }
+    compile_phase(scratch.plan, host, num_edges, p, bundles,
+                  "packet route invalid");
   }
-  const std::uint64_t num_links = host.num_directed_edges();
-  const int dims = host.dims();
-  const simcore::DenseLinkDim link_dim{static_cast<std::uint64_t>(dims)};
-  constexpr int kMaxSteps = 1 << 22;
-  SimResult result =
-      sink != nullptr
-          ? simcore::run_plan<true, false>(scratch.plan, num_links, dims,
-                                           link_dim, scratch, policy,
-                                           kMaxSteps, sink, nullptr, false,
-                                           nullptr)
-          : simcore::run_plan<false, false>(scratch.plan, num_links, dims,
-                                            link_dim, scratch, policy,
-                                            kMaxSteps, nullptr, nullptr,
-                                            false, nullptr);
+  SimResult result = simcore::run_plan(scratch, host.dims(), policy, 1 << 22,
+                                       sink, nullptr, false, nullptr);
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -85,16 +87,15 @@ std::vector<Packet> phase_packets(const MultiPathEmbedding& emb, int p) {
   HP_CHECK(p >= 1, "phase needs at least one packet per edge");
   std::vector<Packet> packets;
   packets.reserve(emb.guest().num_edges() * static_cast<std::size_t>(p));
-  for_each_scheduled_edge(emb, [&](std::size_t e,
-                                   std::span<const HostPath> bundle,
-                                   std::span<const int> order) {
+  std::vector<std::uint32_t> hops;
+  std::vector<int> order;
+  for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
+    const int w = schedule_bundle(EmbeddingBundles{emb}, e, hops, order);
     for (int j = 0; j < p; ++j) {
-      Packet pk;
-      pk.route = bundle[order[j % order.size()]];
-      pk.tag = static_cast<std::uint32_t>(e);
-      packets.push_back(std::move(pk));
+      packets.push_back({emb.paths(e)[order[j % w]], 0,
+                         static_cast<std::uint32_t>(e)});
     }
-  });
+  }
   return packets;
 }
 
@@ -107,10 +108,7 @@ std::vector<Packet> phase_packets(const KCopyEmbedding& emb, int p) {
   for (int c = 0; c < emb.num_copies(); ++c) {
     for (std::size_t e = 0; e < emb.guest().num_edges(); ++e) {
       for (int j = 0; j < p; ++j) {
-        Packet pk;
-        pk.route = emb.path(c, e);
-        pk.tag = static_cast<std::uint32_t>(e);
-        packets.push_back(std::move(pk));
+        packets.push_back({emb.path(c, e), 0, static_cast<std::uint32_t>(e)});
       }
     }
   }
@@ -119,56 +117,16 @@ std::vector<Packet> phase_packets(const KCopyEmbedding& emb, int p) {
 
 SimResult measure_phase_cost(const MultiPathEmbedding& emb, int p,
                              Arbitration policy, obs::TraceSink* sink) {
-  HP_CHECK(p >= 1, "phase needs at least one packet per edge");
-  return run_phase(
-      emb.host(),
-      [&](simcore::RoutePlan& plan) {
-        // Exact sizes first, so the plan never regrows mid-compile.
-        std::size_t total_nodes = 0;
-        for_each_scheduled_edge(emb, [&](std::size_t,
-                                         std::span<const HostPath> bundle,
-                                         std::span<const int> order) {
-          for (int j = 0; j < p; ++j) {
-            total_nodes += bundle[order[j % order.size()]].size();
-          }
-        });
-        plan.reserve(emb.guest().num_edges() * static_cast<std::size_t>(p),
-                     total_nodes);
-        for_each_scheduled_edge(emb, [&](std::size_t,
-                                         std::span<const HostPath> bundle,
-                                         std::span<const int> order) {
-          for (int j = 0; j < p; ++j) {
-            plan.add_route(emb.host(), bundle[order[j % order.size()]], 0);
-          }
-        });
-      },
-      policy, sink);
+  return run_phase(emb.host(), emb.guest().num_edges(), p,
+                   EmbeddingBundles{emb}, policy, sink);
 }
 
 SimResult measure_phase_cost(const KCopyEmbedding& emb, int p,
                              Arbitration policy, obs::TraceSink* sink) {
-  HP_CHECK(p >= 1, "phase needs at least one packet per edge");
-  return run_phase(
-      emb.host(),
-      [&](simcore::RoutePlan& plan) {
-        const std::size_t edges = emb.guest().num_edges();
-        std::size_t total_nodes = 0;
-        for (int c = 0; c < emb.num_copies(); ++c) {
-          for (std::size_t e = 0; e < edges; ++e) {
-            total_nodes += emb.path(c, e).size() * static_cast<std::size_t>(p);
-          }
-        }
-        plan.reserve(edges * static_cast<std::size_t>(p * emb.num_copies()),
-                     total_nodes);
-        for (int c = 0; c < emb.num_copies(); ++c) {
-          for (std::size_t e = 0; e < edges; ++e) {
-            for (int j = 0; j < p; ++j) {
-              plan.add_route(emb.host(), emb.path(c, e), 0);
-            }
-          }
-        }
-      },
-      policy, sink);
+  return run_phase(emb.host(),
+                   emb.guest().num_edges() *
+                       static_cast<std::size_t>(emb.num_copies()),
+                   p, KCopyBundles{emb}, policy, sink);
 }
 
 }  // namespace hyperpath

@@ -13,8 +13,8 @@
 //   Faulted=true    + stale-entry skip     full legacy behaviour
 //
 // * Traced compiles the event emission in or out.  With it out, the loop
-//   body is: depth read, running max, pop, dim counter, moved append,
-//   compaction — no allocation, no virtual call, no event construction.
+//   body is: depth read, running max, pop, moved append, compaction — no
+//   allocation, no virtual call, no event construction.
 // * Faulted compiles the stale-worklist check in or out.  Stale entries
 //   exist only when the fault-truncation pass ran clear_link on a link that
 //   was on a worklist; a fault-free run can never produce one, so skipping
@@ -28,11 +28,11 @@
 // from the RoutePlan's parallel arrays (route_len[id] - hop[id]) instead of
 // chasing Packet::route.
 //
-// The per-dimension transmission counter is indexed through a second
-// functor, the link's dimension: DenseLinkDim (link % n) for plans on
-// Hypercube::edge_id's dense ids; TableLinkDim (a per-link byte table) for
-// the oracle phase's compact plan-local ids, where the modulo would be
-// wrong.
+// The kernel sees queue numbers only (simcore.hpp: identity or rank
+// numbering of the global link ids), never a link's dimension.  Per-dimension
+// transmissions are counted after the run from the plan's nodes: a route
+// has made exactly hop[r] transmissions, over its first hop[r] hops.
+// Events carry queue numbers; the caller's `emit` maps them to global ids.
 //
 // Prefetch: at Q_16 a sweep entry is a chain of cache misses (worklist →
 // the link's queue record → its head packet's successor slot), and no loop
@@ -95,34 +95,15 @@ struct FarthestFirstArbiter {
   }
 };
 
-/// Dimension of a dense link id (tail·n + dim, Hypercube::edge_id).
-struct DenseLinkDim {
-  std::uint64_t dims;
-
-  std::uint64_t operator()(std::uint64_t link) const { return link % dims; }
-};
-
-/// Dimension of a plan-local link id, read from a per-link table (the
-/// oracle phase's compact renumbering keeps no arithmetic relation between
-/// a local id and its host dimension).
-struct TableLinkDim {
-  const std::uint8_t* dim_of;
-
-  std::uint64_t operator()(std::uint64_t link) const { return dim_of[link]; }
-};
-
 /// Sweeps `worklist` once: per live link records queue statistics, emits
 /// trace events through `emit` (Traced only), pops one packet via
 /// `arbitrate`, appends it to `moved` and compacts the worklist in place so
-/// only still-nonempty links survive.  `highwater` (per-link, Traced only)
-/// and `dim_tx` (per-dimension transmission counters, indexed through
-/// `link_dim`) are caller-owned.
-template <bool Traced, bool Faulted, typename LinkDim, typename Arbiter,
-          typename EmitFn>
+/// only still-nonempty links survive.  `highwater` (per queue, Traced
+/// only) is caller-owned.
+template <bool Traced, bool Faulted, typename Arbiter, typename EmitFn>
 inline SweepStats step_sweep(LinkFifoArena& arena,
                              std::vector<std::uint32_t>& worklist,
                              std::vector<std::uint32_t>& moved,
-                             std::uint64_t* dim_tx, LinkDim link_dim,
                              [[maybe_unused]] int step,
                              [[maybe_unused]] std::uint32_t* highwater,
                              Arbiter&& arbitrate,
@@ -159,7 +140,6 @@ inline SweepStats step_sweep(LinkFifoArena& arena,
     }
     const std::uint32_t pick = arbitrate(arena, link);
     ++out.busy;
-    ++dim_tx[link_dim(link)];
     if constexpr (Traced) {
       emit(TraceEvent{step, TraceEventKind::kTransmit, pick, link, depth});
       if (depth > 1) {

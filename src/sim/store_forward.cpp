@@ -1,6 +1,7 @@
 #include "sim/store_forward.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <optional>
 
@@ -18,29 +19,33 @@ using obs::TraceEventKind;
 
 namespace simcore {
 
-// The step loop.  Routes arrive compiled (RoutePlan), per-run state lives
-// in the caller's StepScratch, and the sweep itself is the templated
-// kernel; the specialization matrix is documented in step_kernel.hpp.
-template <bool Traced, bool Faulted, typename LinkDim>
-SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
-                   LinkDim link_dim, StepScratch& scratch,
-                   Arbitration policy, int max_steps, obs::TraceSink* sink,
-                   [[maybe_unused]] const FaultSchedule* schedule,
-                   [[maybe_unused]] bool announce_faults,
-                   FaultRunResult* fault_out) {
+namespace {
+
+// The step loop.  Routes arrive compiled with their queues numbered
+// (RoutePlan), per-run state lives in the caller's StepScratch, and the
+// sweep itself is the templated kernel; the specialization matrix is
+// documented in step_kernel.hpp.  Queues stay inside: every event and fate
+// carries the global link id.
+template <bool Traced, bool Faulted>
+SimResult step_loop(const RoutePlan& plan, int dims, StepScratch& scratch,
+                    Arbitration policy, int max_steps, obs::TraceSink* sink,
+                    [[maybe_unused]] const FaultSchedule* schedule,
+                    [[maybe_unused]] bool announce_faults,
+                    FaultRunResult* fault_out) {
   const std::uint32_t num_routes = plan.num_routes();
+  const std::uint64_t num_queues = plan.num_queues();
   obs::StepTrace trace(sink);
 
   {
     HP_PROFILE_SPAN("setup");
-    scratch.arena.reset(num_links, num_routes);
+    scratch.arena.reset(num_queues, num_routes);
     scratch.active.clear();
     scratch.pending.clear();
     scratch.hop.assign(num_routes, 0);
     scratch.moved_mask.assign((num_routes + 63) / 64, 0);
     if constexpr (Traced) {
-      scratch.highwater.assign(num_links, 0);
-      scratch.link_mask.assign((num_links + 63) / 64, 0);
+      scratch.highwater.assign(num_queues, 0);
+      scratch.link_mask.assign((num_queues + 63) / 64, 0);
     }
   }
 
@@ -62,9 +67,9 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
   }
 
   const auto enqueue = [&](std::uint32_t id) {
-    const std::uint64_t link = link_of_hop[route_off[id] + hop[id]];
-    arena.push_back(link, id, active);
-    return link;
+    const std::uint32_t queue = link_of_hop[route_off[id] + hop[id]];
+    arena.push_back(queue, id, active);
+    return queue;
   };
   // Prefetches the queue record route `id` joins at hop `at` (none once it
   // is at its destination) — issued kPrefetchDistance routes before the
@@ -94,8 +99,9 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
     if constexpr (Traced) {
       sort_moved(active, scratch.link_mask);
       trace.reserve(TraceEventKind::kRelease, undelivered - pending.size());
-      for (const std::uint32_t link : active) {
-        arena.for_each(link, [&](std::uint32_t id) {
+      for (const std::uint32_t queue : active) {
+        const std::uint64_t link = plan.link_of_queue(queue);
+        arena.for_each(queue, [&](std::uint32_t id) {
           trace.record({0, TraceEventKind::kRelease, id, link, 0});
         });
       }
@@ -106,10 +112,9 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
   }
 
   SimResult result;
-  result.dim_transmissions.assign(dims, 0);
   result.latency = obs::FixedHistogram::exponential();
-  const double total_links = static_cast<double>(num_links);
-  std::uint64_t* const dim_tx = result.dim_transmissions.data();
+  const double total_links =
+      static_cast<double>(Hypercube(dims).num_directed_edges());
 
   int step = 0;
   std::uint32_t max_queue = 0;
@@ -141,23 +146,25 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
     while (next_release < pending.size() &&
            pending[next_release].first == static_cast<std::uint32_t>(step)) {
       const std::uint32_t id = pending[next_release].second;
-      const std::uint64_t link = enqueue(id);
+      const std::uint32_t queue = enqueue(id);
       if constexpr (Traced) {
-        trace.record({step, TraceEventKind::kRelease, id, link, 0});
+        trace.record({step, TraceEventKind::kRelease, id,
+                      plan.link_of_queue(queue), 0});
       }
       ++next_release;
     }
 
     // Truncation: every packet waiting on a currently-dead link is lost at
     // the break point.  Iterates the timeline's sorted dead-link map so the
-    // emitted kDrop order is canonical.  clear_link leaves the emptied
-    // link's worklist entry stale; this step's sweep compacts it away
-    // before any further enqueue can run.
+    // emitted kDrop order is canonical; a dead link no route uses has no
+    // queue.  clear_link leaves the emptied queue's worklist entry stale;
+    // this step's sweep compacts it away before any further enqueue can run.
     if constexpr (Faulted) {
       if (!timeline->dead_links().empty()) {
         for (const auto& [link, kills] : timeline->dead_links()) {
-          if (arena.empty(link)) continue;
-          arena.for_each(link, [&](std::uint32_t id) {
+          const std::uint64_t queue = plan.queue_of_link(link);
+          if (queue == kNoQueue || arena.empty(queue)) continue;
+          arena.for_each(queue, [&](std::uint32_t id) {
             --undelivered;
             if (fault_out != nullptr) {
               fault_out->fates[id] = {PacketFate::Kind::kLost, step, link,
@@ -167,7 +174,7 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
               trace.record({step, TraceEventKind::kDrop, id, link, hop[id]});
             }
           });
-          arena.clear_link(link);
+          arena.clear_link(queue);
         }
       }
     }
@@ -187,18 +194,19 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
         trace.reserve(kind, active.size());
       }
     }
-    const auto emit = [&](const TraceEvent& e) { trace.record(e); };
+    const auto emit = [&](TraceEvent e) {
+      e.link = plan.link_of_queue(e.link);
+      trace.record(e);
+    };
     SweepStats sweep;
     if (policy == Arbitration::kFifo) {
-      sweep = step_sweep<Traced, Faulted>(arena, active, moved, dim_tx,
-                                          link_dim, step,
+      sweep = step_sweep<Traced, Faulted>(arena, active, moved, step,
                                           scratch.highwater.data(),
                                           FifoArbiter{}, emit);
     } else {
       sweep = step_sweep<Traced, Faulted>(
-          arena, active, moved, dim_tx, link_dim, step,
-          scratch.highwater.data(), FarthestFirstArbiter{route_len, hop},
-          emit);
+          arena, active, moved, step, scratch.highwater.data(),
+          FarthestFirstArbiter{route_len, hop}, emit);
     }
     result.link_visits += sweep.link_visits;
     result.total_transmissions += sweep.busy;
@@ -255,8 +263,8 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
       t.transmissions = result.total_transmissions;
       t.active_links = active.size();
       t.depth_hist = obs::telemetry_depth_histogram();
-      for (const std::uint32_t link : active) {
-        const std::uint64_t d = arena.depth(link);
+      for (const std::uint32_t queue : active) {
+        const std::uint64_t d = arena.depth(queue);
         t.queued_packets += d;
         t.max_queue_depth = std::max(t.max_queue_depth, d);
         t.depth_hist.observe(static_cast<double>(d));
@@ -275,6 +283,16 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
   // The only width transition of the depth accounting: uint32 inside the
   // core, widened exactly once at the SimResult boundary.
   result.max_queue = static_cast<std::size_t>(max_queue);
+  // Route r made exactly hop[r] transmissions, over its first hop[r] hops
+  // (a lost route stops at its break point); a hop's dimension is the bit
+  // its two nodes differ in.
+  result.dim_transmissions.assign(dims, 0);
+  for (std::uint32_t r = 0; r < num_routes; ++r) {
+    const Node* v = plan.route_nodes.data() + route_off[r] + r;
+    for (std::uint32_t h = 0; h < hop[r]; ++h) {
+      ++result.dim_transmissions[std::countr_zero(v[h] ^ v[h + 1])];
+    }
+  }
   if (fault_out != nullptr) {
     for (const PacketFate& f : fault_out->fates) {
       if (f.delivered()) {
@@ -287,26 +305,28 @@ SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
   return result;
 }
 
-template SimResult run_plan<false, false, DenseLinkDim>(
-    const RoutePlan&, std::uint64_t, int, DenseLinkDim, StepScratch&,
-    Arbitration, int, obs::TraceSink*, const FaultSchedule*, bool,
-    FaultRunResult*);
-template SimResult run_plan<false, true, DenseLinkDim>(
-    const RoutePlan&, std::uint64_t, int, DenseLinkDim, StepScratch&,
-    Arbitration, int, obs::TraceSink*, const FaultSchedule*, bool,
-    FaultRunResult*);
-template SimResult run_plan<true, false, DenseLinkDim>(
-    const RoutePlan&, std::uint64_t, int, DenseLinkDim, StepScratch&,
-    Arbitration, int, obs::TraceSink*, const FaultSchedule*, bool,
-    FaultRunResult*);
-template SimResult run_plan<true, true, DenseLinkDim>(
-    const RoutePlan&, std::uint64_t, int, DenseLinkDim, StepScratch&,
-    Arbitration, int, obs::TraceSink*, const FaultSchedule*, bool,
-    FaultRunResult*);
-template SimResult run_plan<false, false, TableLinkDim>(
-    const RoutePlan&, std::uint64_t, int, TableLinkDim, StepScratch&,
-    Arbitration, int, obs::TraceSink*, const FaultSchedule*, bool,
-    FaultRunResult*);
+}  // namespace
+
+SimResult run_plan(StepScratch& scratch, int dims, Arbitration policy,
+                   int max_steps, obs::TraceSink* sink,
+                   const FaultSchedule* schedule, bool announce_faults,
+                   FaultRunResult* fault_out) {
+  {
+    HP_PROFILE_SPAN("renumber");
+    scratch.plan.number_links(Hypercube(dims));
+  }
+  const auto run = [&]<bool Traced, bool Faulted>() {
+    return step_loop<Traced, Faulted>(scratch.plan, dims, scratch, policy,
+                                      max_steps, sink, schedule,
+                                      announce_faults, fault_out);
+  };
+  if (sink != nullptr) {
+    return schedule != nullptr ? run.operator()<true, true>()
+                               : run.operator()<true, false>();
+  }
+  return schedule != nullptr ? run.operator()<false, true>()
+                             : run.operator()<false, false>();
+}
 
 }  // namespace simcore
 
@@ -343,22 +363,9 @@ SimResult StoreForwardSim::run_impl(const std::vector<Packet>& packets,
     HP_PROFILE_SPAN("setup");
     scratch.plan.rebuild(host_, packets);  // validates; keeps capacity
   }
-  const std::uint64_t num_links = host_.num_directed_edges();
-  const int dims = host_.dims();
-  const simcore::DenseLinkDim link_dim{static_cast<std::uint64_t>(dims)};
-  const auto run = [&]<bool Traced, bool Faulted>() {
-    return simcore::run_plan<Traced, Faulted>(
-        scratch.plan, num_links, dims, link_dim, scratch, policy, max_steps,
-        sink, schedule, announce_faults, fault_out);
-  };
-  SimResult result;
-  if (sink != nullptr) {
-    result = schedule != nullptr ? run.operator()<true, true>()
-                                 : run.operator()<true, false>();
-  } else {
-    result = schedule != nullptr ? run.operator()<false, true>()
-                                 : run.operator()<false, false>();
-  }
+  SimResult result =
+      simcore::run_plan(scratch, host_.dims(), policy, max_steps, sink,
+                        schedule, announce_faults, fault_out);
   result.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -22,10 +22,13 @@
 // This is the one store-and-forward step loop of the library (the map-based
 // reference_sim.hpp is the test spec it is checked against).  A run is a
 // thin front — compile the packets into the thread's scratch RoutePlan —
-// and simcore::run_plan, the body every caller shares: measure_phase_cost
+// and simcore::run_plan, the tail every caller shares: measure_phase_cost
 // (phase.hpp) compiles its plan straight from an embedding's bundles, and
 // the oracle phase (oracle_sim.hpp, untraced and fault-free) straight
-// from a PathOracle; both run the same body.
+// from a PathOracle; all three hand run_plan a plan of global-link walks,
+// and run_plan numbers its link queues (RoutePlan::number_links) and runs
+// the step loop.  Hosts up to Q_30 work: state is sized by the traffic
+// whenever the host has more links than the plan has hops.
 #pragma once
 
 #include "obs/trace.hpp"
@@ -80,19 +83,15 @@ class StoreForwardSim {
 
 namespace simcore {
 
-/// The store-and-forward step loop: runs an already-compiled plan to
-/// completion (every route delivered or, with a schedule, lost).  Link ids
-/// in `plan` index `num_links` per-link queues; `link_dim` maps a link id
-/// to its host dimension for SimResult::dim_transmissions (`dims` entries)
-/// — step_kernel.hpp's DenseLinkDim for Hypercube::edge_id ids,
-/// TableLinkDim for the oracle phase's compact ids.  All per-run state
-/// lives in `scratch`; `plan` may be scratch.plan.  Instantiated in
-/// store_forward.cpp for DenseLinkDim (every Traced × Faulted shape) and
-/// for untraced, fault-free TableLinkDim.
-template <bool Traced, bool Faulted, typename LinkDim>
-SimResult run_plan(const RoutePlan& plan, std::uint64_t num_links, int dims,
-                   LinkDim link_dim, StepScratch& scratch,
-                   Arbitration policy, int max_steps, obs::TraceSink* sink,
+/// The store-and-forward tail every run shares: numbers scratch.plan's link
+/// queues (RoutePlan::number_links), then runs the step loop to completion
+/// (every route delivered or, with a schedule, lost) on Q_dims, in the
+/// traced / faulted shape `sink` and `schedule` ask for.  All per-run state
+/// lives in `scratch`.  SimResult::utilization divides by the host's
+/// directed links; dim_transmissions has `dims` entries, counted after the
+/// run from the plan's nodes.
+SimResult run_plan(StepScratch& scratch, int dims, Arbitration policy,
+                   int max_steps, obs::TraceSink* sink,
                    const FaultSchedule* schedule, bool announce_faults,
                    FaultRunResult* fault_out);
 

@@ -15,7 +15,7 @@ using obs::TraceEventKind;
 namespace {
 
 /// The wormhole step loop over the SoA route plan: the acquisition scan
-/// (whole route free?) walks a contiguous slice of 32-bit link ids instead
+/// (whole route free?) walks a contiguous slice of 32-bit queue numbers instead
 /// of recomputing Hypercube::edge_id per hop on every retry — the scan is
 /// the hot path, since a blocked worm repeats it every step until it
 /// starts.  Traced compiles the event emission in or out, exactly like the
@@ -28,17 +28,16 @@ WormResult run_worm(const Hypercube& host, const std::vector<Worm>& worms,
   result.completion.assign(worms.size(), 0);
   obs::StepTrace trace(sink);
 
-  // Held links as one bit per dense directed-link id, and the worm set as
-  // two compacted worklists: `pending` (not yet started, ascending id — the
-  // deterministic acquisition priority) and `inflight` (started, awaiting
-  // completion).  A step touches only live worms.
-  simcore::LinkBitmap held(host.num_directed_edges());
+  // The worm set as two compacted worklists: `pending` (not yet started,
+  // ascending id — the deterministic acquisition priority) and `inflight`
+  // (started, awaiting completion).  A step touches only live worms.
   std::vector<std::uint32_t> pending;
   std::vector<std::uint32_t> inflight;
   std::vector<int> completion_at(worms.size(), 0);
 
   // Compile the worm routes into the thread's scratch RoutePlan (worms are
-  // not Packets, so the plan is assembled route by route).
+  // not Packets, so the plan is assembled route by route), then number its
+  // link queues like every store-and-forward run.
   simcore::RoutePlan& plan = simcore::step_scratch().plan;
   std::size_t active = 0;
   {
@@ -62,7 +61,10 @@ WormResult run_worm(const Hypercube& host, const std::vector<Worm>& worms,
         ++active;
       }
     }
+    plan.number_links(host);
   }
+  // Held links, one bit per queue; events carry global link ids.
+  simcore::LinkBitmap held(plan.num_queues());
 
   const std::uint32_t* const route_len = plan.route_len.data();
   const std::uint32_t* const route_off = plan.route_offsets.data();
@@ -92,17 +94,18 @@ WormResult run_worm(const Hypercube& host, const std::vector<Worm>& worms,
       const std::uint32_t len = route_len[i];
       const std::uint32_t* const links = link_of_hop + route_off[i];
       bool free = true;
-      std::uint64_t blocked_on = TraceEvent::kNoLink;
+      std::uint32_t blocked_on = 0;
       for (std::uint32_t h = 0; h < len; ++h) {
         if (held.test(links[h])) {
           free = false;
-          blocked_on = links[h];  // first busy link, as before
+          blocked_on = links[h];  // first busy link
           break;
         }
       }
       if (!free) {
         if constexpr (Traced) {
-          trace.record({step, TraceEventKind::kStall, i, blocked_on, 0});
+          trace.record({step, TraceEventKind::kStall, i,
+                        plan.link_of_queue(blocked_on), 0});
         }
         pending[keep++] = i;
         continue;
@@ -111,7 +114,8 @@ WormResult run_worm(const Hypercube& host, const std::vector<Worm>& worms,
       for (std::uint32_t h = 0; h < len; ++h) {
         held.set(links[h]);
         if constexpr (Traced) {
-          trace.record({step, TraceEventKind::kTransmit, i, links[h],
+          trace.record({step, TraceEventKind::kTransmit, i,
+                        plan.link_of_queue(links[h]),
                         static_cast<std::uint64_t>(flits)});
         }
       }

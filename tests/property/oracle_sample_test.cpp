@@ -1,21 +1,24 @@
 // The algebraic oracle at scale: Q_20–Q_30 hosts that can never be
 // materialized, verified by the sampling contract (endpoints, host
 // adjacency, declared lengths, pairwise edge-disjointness), plus the
-// oracle-fed consumers — RoutePlan streaming compilation, the compact-link
-// phase simulator against its analytic congestion floor, and oracle-backed
-// recovery — cross-checked against the materialized pipeline where both
-// exist.
+// oracle-fed consumers — RoutePlan streaming compilation, the oracle phase
+// on both queue numberings against its analytic congestion floor, and
+// oracle-backed recovery — cross-checked against the materialized pipeline
+// where both exist.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "base/error.hpp"
 #include "core/algebraic_oracle.hpp"
 #include "core/cycle_multipath.hpp"
 #include "core/grid_multipath.hpp"
 #include "core/lower_bounds.hpp"
+#include "obs/profile.hpp"
 #include "sim/faults.hpp"
 #include "sim/oracle_sim.hpp"
 #include "sim/phase.hpp"
@@ -50,7 +53,8 @@ TEST(OracleSample, Q30Torus) {
 }
 
 /// Streaming compilation must produce byte-for-byte the plan that
-/// RoutePlan::compile builds from materialized phase packets.
+/// RoutePlan::compile builds from materialized phase packets, and number
+/// its link queues the same way.
 TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const Hypercube& host = emb.host();
@@ -63,24 +67,29 @@ TEST(OracleSample, RoutePlanStreamingMatchesCompile) {
     for (const Node v : p.route) streamed.push_node(v);
     streamed.end_route(host);
   }
+  simcore::RoutePlan numbered = compiled;
+  numbered.number_links(host);
+  streamed.number_links(host);
+  EXPECT_EQ(streamed.num_queues(), numbered.num_queues());
+  EXPECT_EQ(streamed.queue_links, numbered.queue_links);
+  EXPECT_EQ(streamed.link_of_hop, numbered.link_of_hop);
   EXPECT_EQ(streamed.route_nodes, compiled.route_nodes);
   EXPECT_EQ(streamed.route_offsets, compiled.route_offsets);
-  EXPECT_EQ(streamed.link_of_hop, compiled.link_of_hop);
   EXPECT_EQ(streamed.route_len, compiled.route_len);
   EXPECT_EQ(streamed.release, compiled.release);
 }
 
-/// end_route_unlinked validates the walk but defers link ids; offsets and
-/// lengths must still line up with the linked flavor.
+/// end_route validates the walk but leaves link ids to number_links;
+/// offsets and lengths must line up before any queue is numbered.
 TEST(OracleSample, RoutePlanUnlinkedOffsets) {
   const Hypercube host(4);
   simcore::RoutePlan plan;
   plan.begin_route(0);
   for (const Node v : {0u, 1u, 3u}) plan.push_node(v);
-  plan.end_route_unlinked(4);
+  plan.end_route(host);
   plan.begin_route(2);
   for (const Node v : {7u, 5u}) plan.push_node(v);
-  plan.end_route_unlinked(4);
+  plan.end_route(host);
   ASSERT_EQ(plan.num_routes(), 2u);
   EXPECT_EQ(plan.route_offsets, (std::vector<std::uint32_t>{0, 2, 3}));
   EXPECT_EQ(plan.route_len, (std::vector<std::uint32_t>{2, 1}));
@@ -95,12 +104,27 @@ TEST(OracleSample, RoutePlanUnlinkedRejectsBadWalk) {
   plan.begin_route(0);
   plan.push_node(0);
   plan.push_node(3);  // two bits flipped: not a hypercube hop
-  EXPECT_THROW(plan.end_route_unlinked(4), Error);
+  EXPECT_THROW(plan.end_route(Hypercube(4)), Error);
 }
 
-/// The compact-link phase sweep must reproduce the dense-link SoA engine's
-/// measurements exactly when both can run: renumbering links is a
-/// bijection, so queue dynamics are unchanged.
+/// The queue numbering run_plan chose for an oracle phase, read back from
+/// the queues it allocated: identity (one queue per host link) exactly when
+/// the host has no more directed links than the phase has hops — every
+/// packet is delivered, so its hops are its transmissions — else one queue
+/// per link the traffic touches.
+bool identity_numbered(const OraclePhaseResult& r, int dims) {
+  const std::uint64_t host_links = Hypercube(dims).num_directed_edges();
+  const bool identity = r.queues == host_links;
+  EXPECT_EQ(identity, host_links <= r.total_transmissions);
+  if (!identity) {
+    EXPECT_EQ(r.queues, r.unique_links);
+  }
+  return identity;
+}
+
+/// The oracle phase must reproduce the materialized phase's measurements
+/// exactly, on either queue numbering: both preserve link order, so queue
+/// dynamics are unchanged.
 TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
   const MultiPathEmbedding emb = theorem1_cycle_embedding(8);
   const MaterializedOracle mat(emb);
@@ -115,24 +139,33 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
 
   // p = 5 runs one packet per bundle path.  p = 12 stacks packets on
   // links, so queueing order shows: there FIFO peaks at depth 4 where
-  // farthest-first would reach 5.
-  for (const int p : {5, 12}) {
-    SCOPED_TRACE(p);
+  // farthest-first would reach 5.  Every edge's traffic is dense enough for
+  // identity numbering; one edge in 64 is not, and runs on ranks.
+  std::vector<OracleEdge> sparse;
+  for (std::size_t i = 0; i < edges.size(); i += 64) sparse.push_back(edges[i]);
+  std::set<bool> sides;
+  for (const auto& [demand, p] :
+       {std::pair{&edges, 5}, {&edges, 12}, {&sparse, 5}, {&sparse, 12}}) {
+    SCOPED_TRACE(testing::Message() << "edges " << demand->size() << " p "
+                                    << p);
     OraclePhaseSpec spec;
     spec.packets_per_edge = p;
-    const OraclePhaseResult from_alg = run_oracle_phase(*alg, edges, spec);
-    const OraclePhaseResult from_mat = run_oracle_phase(mat, edges, spec);
+    const OraclePhaseResult from_alg = run_oracle_phase(*alg, *demand, spec);
+    const OraclePhaseResult from_mat = run_oracle_phase(mat, *demand, spec);
+    sides.insert(identity_numbered(from_alg, emb.host().dims()));
+    EXPECT_EQ(from_alg.queues, from_mat.queues);
     EXPECT_EQ(from_alg.makespan, from_mat.makespan);
     EXPECT_EQ(from_alg.total_transmissions, from_mat.total_transmissions);
     EXPECT_EQ(from_alg.peak_congestion, from_mat.peak_congestion);
     EXPECT_EQ(from_alg.max_queue, from_mat.max_queue);
     EXPECT_EQ(from_alg.unique_links, from_mat.unique_links);
     EXPECT_EQ(from_alg.dim_transmissions, from_mat.dim_transmissions);
-    if (p == 12) {
+    if (p == 12 && demand == &edges) {
       EXPECT_GT(from_alg.max_queue, 1u);
     }
+    if (demand != &edges) continue;
 
-    // Same dynamics as the classic dense-link pipeline.
+    // Same dynamics as the classic materialized pipeline.
     const StoreForwardSim sim(emb.host().dims());
     const SimResult classic = sim.run(phase_packets(emb, p));
     EXPECT_EQ(from_alg.makespan, classic.makespan);
@@ -143,14 +176,16 @@ TEST(OracleSample, PhaseSimMatchesMaterializedPipeline) {
     EXPECT_EQ(from_alg.delivered,
               static_cast<std::uint64_t>(edges.size()) * p);
   }
+  EXPECT_EQ(sides, (std::set<bool>{false, true}));
 }
 
 /// Packets past the bundle width replay routes already compiled.  On a
 /// grid whose axes have different widths (3 along the 16-side axis, 5
 /// along the 256-side one) the replay boundary falls at a different packet
 /// per edge; p runs below, at and past both widths.  The streamed phase
-/// must equal the materialized backend field for field, and the dense
-/// StoreForwardSim run plus static link counts over phase_packets.
+/// must equal the materialized backend field for field, and the
+/// StoreForwardSim run plus static link counts over phase_packets.  Small
+/// p runs on rank numbering, large p on identity.
 TEST(OracleSample, PhaseReplayMatchesAcrossBundleWidths) {
   const GridSpec spec{{16, 256}, true};
   const auto alg = algebraic_grid_oracle(spec);
@@ -167,12 +202,15 @@ TEST(OracleSample, PhaseReplayMatchesAcrossBundleWidths) {
   }
   ASSERT_EQ(widths, (std::set<int>{3, 5}));
 
+  std::set<bool> sides;
   for (const int p : {1, 2, 3, 5, 7, 16}) {
     SCOPED_TRACE(p);
     OraclePhaseSpec ps;
     ps.packets_per_edge = p;
     const OraclePhaseResult a = run_oracle_phase(*alg, edges, ps);
     const OraclePhaseResult m = run_oracle_phase(mat, edges, ps);
+    sides.insert(identity_numbered(a, emb.host().dims()));
+    EXPECT_EQ(a.queues, m.queues);
     EXPECT_EQ(a.makespan, m.makespan);
     EXPECT_EQ(a.delivered, m.delivered);
     EXPECT_EQ(a.total_transmissions, m.total_transmissions);
@@ -205,13 +243,15 @@ TEST(OracleSample, PhaseReplayMatchesAcrossBundleWidths) {
     EXPECT_EQ(a.route_nodes, nodes);
     EXPECT_EQ(a.dim_transmissions, dense.dim_transmissions);
   }
+  EXPECT_EQ(sides, (std::set<bool>{false, true}));
 }
 
 /// compiled_bytes is exactly the arrays the sweep runs on, summed by hand
 /// from the phase's packets: the plan (4-byte route nodes, route offsets,
-/// hop link ids, route lengths, release steps), one dimension byte per
-/// link, the arena's head/tail/depth per link, and next + hop counter per
-/// route.  No id table of 8 bytes per link exists after the renumber.
+/// hop queue numbers, route lengths, release steps), the arena's
+/// head/tail/depth per queue the run allocates — one per touched link
+/// under rank numbering, one per host link under identity — and next +
+/// hop counter per route.
 TEST(OracleSample, CompiledBytesCountsTheSweepArrays) {
   const GridSpec spec{{16, 256}, true};
   const auto alg = algebraic_grid_oracle(spec);
@@ -241,11 +281,15 @@ TEST(OracleSample, CompiledBytesCountsTheSweepArrays) {
     const std::uint64_t hops = nodes - routes;
     const std::uint64_t plan = 4 * nodes + 4 * (routes + 1) + 4 * hops +
                                4 * routes + 4 * routes;
-    const std::uint64_t per_link = 1 + 3 * 4;
+    const std::uint64_t host_links = emb.host().num_directed_edges();
+    const std::uint64_t queues =
+        host_links <= hops ? host_links : links.size();
+    const std::uint64_t per_queue = 3 * 4;
     const std::uint64_t per_route = 2 * 4;
     EXPECT_EQ(r.unique_links, links.size());
+    EXPECT_EQ(r.queues, queues);
     EXPECT_EQ(r.compiled_bytes,
-              plan + per_link * links.size() + per_route * routes);
+              plan + per_queue * queues + per_route * routes);
   }
 }
 
@@ -322,8 +366,11 @@ TEST(OracleSample, RecoveryMatchesEmbeddingBackend) {
 }
 
 /// Oracle recovery on a host too big to materialize: a handful of messages
-/// ride Q_24 bundles through a fault on one of their own links.
+/// ride Q_24 bundles through a fault on one of their own links.  Every
+/// wave's state is sized by its traffic, not by the host's 402,653,184
+/// links, which the stage's peak RSS rise pins down.
 TEST(OracleSample, Q24RecoverySurvivesSingleFault) {
+  const obs::PeakRssStage stage;
   const auto oracle = algebraic_grid_oracle(GridSpec{{256, 256, 256}, true});
   const std::vector<OracleEdge> edges = sample_guest_edges(*oracle, 16, 5);
 
@@ -341,6 +388,11 @@ TEST(OracleSample, Q24RecoverySurvivesSingleFault) {
   const RecoveryResult r = run_recovery(*oracle, edges, schedule, config);
   EXPECT_EQ(r.messages_total, edges.size());
   EXPECT_EQ(r.messages_complete, edges.size());
+  EXPECT_GE(r.fragments_lost, 1u);  // the fault sits on a used link
+
+  const std::optional<std::uint64_t> rise_kb = stage.rise_kb();
+  if (!rise_kb) GTEST_SKIP() << "VmHWM reset unavailable on this host";
+  EXPECT_LT(*rise_kb * 1024, std::uint64_t{500'000'000});
 }
 
 }  // namespace

@@ -229,7 +229,8 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
   packets.push_back({ecube_route(q, 0, 11), 0, 0});   // multi-hop
   packets.push_back({ecube_route(q, 5, 5), 3, 0});    // trivial (0 hops)
   packets.push_back({zigzag_walk(2, 6), 1, 0});       // non-geodesic walk
-  const auto plan = simcore::RoutePlan::compile(q, packets);
+  auto plan = simcore::RoutePlan::compile(q, packets);
+  plan.number_links(q);
 
   ASSERT_EQ(plan.num_routes(), packets.size());
   ASSERT_EQ(plan.route_offsets.size(), packets.size() + 1);
@@ -245,17 +246,54 @@ TEST(RoutePlan, CompileLaysOutHopsNodesAndReleases) {
     const auto nodes = plan.nodes(r);
     ASSERT_EQ(nodes.size(), route.size());
     EXPECT_TRUE(std::equal(nodes.begin(), nodes.end(), route.begin()));
-    // Each hop's dense link id is exactly Hypercube::edge_id — the kernel
-    // never recomputes it, so compile must get every one right.
+    // Each hop's queue maps back to exactly Hypercube::edge_id — the
+    // kernel never recomputes it, so numbering must get every one right.
     for (std::uint32_t h = 0; h < plan.route_len[r]; ++h) {
-      EXPECT_EQ(plan.link_of_hop[plan.route_offsets[r] + h],
-                q.edge_id(route[h], route[h + 1]))
+      const std::uint64_t link = q.edge_id(route[h], route[h + 1]);
+      const std::uint32_t queue = plan.link_of_hop[plan.route_offsets[r] + h];
+      EXPECT_EQ(plan.link_of_queue(queue), link)
           << "route " << r << " hop " << h;
+      EXPECT_EQ(plan.queue_of_link(link), queue);
     }
     total_hops += plan.route_len[r];
   }
   EXPECT_EQ(plan.link_of_hop.size(), total_hops);
   EXPECT_EQ(plan.route_offsets.back(), total_hops);
+}
+
+TEST(RoutePlan, NumberLinksPicksIdentityOrRanksFromTheTraffic) {
+  const Hypercube q(3);  // 24 directed links
+  // Three hops on a 24-link host: ranks among the distinct global ids.
+  auto sparse = simcore::RoutePlan::compile(q, {{ecube_route(q, 0, 7), 0, 0}});
+  sparse.number_links(q);
+  const std::vector<std::uint64_t> ids = {
+      q.edge_id(Node{0}, Node{1}), q.edge_id(Node{1}, Node{3}),
+      q.edge_id(Node{3}, Node{7})};
+  EXPECT_EQ(sparse.num_queues(), 3u);
+  EXPECT_EQ(sparse.queue_links, ids);
+  EXPECT_EQ(sparse.link_of_hop, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(sparse.queue_of_link(q.edge_id(Node{1}, Node{0})),
+            simcore::kNoQueue);
+
+  // One packet per directed link, twice over: 48 hops on 24 links, so a
+  // link's queue is its global id.
+  std::vector<Packet> dense;
+  for (int round = 0; round < 2; ++round) {
+    for (Node v = 0; v < q.num_nodes(); ++v) {
+      for (Dim d = 0; d < q.dims(); ++d) {
+        dense.push_back({{v, q.neighbor(v, d)}, 0, 0});
+      }
+    }
+  }
+  auto full = simcore::RoutePlan::compile(q, dense);
+  full.number_links(q);
+  EXPECT_EQ(full.num_queues(), q.num_directed_edges());
+  EXPECT_TRUE(full.queue_links.empty());
+  for (std::uint32_t r = 0; r < full.num_routes(); ++r) {
+    EXPECT_EQ(full.link_of_hop[r], q.edge_id(dense[r].route[0],
+                                             dense[r].route[1]));
+  }
+  EXPECT_EQ(full.queue_of_link(5), 5u);
 }
 
 TEST(RoutePlan, EmptyPacketSetCompilesToEmptyPlan) {
